@@ -45,7 +45,7 @@ from .core import (
 )
 from .entropy import EntropyValue, discrete_entropy
 from .risk import RiskAversionProfile, risk_aversion_analytic
-from .solver import SolveOptions, solve_equality, solve_interval
+from .solver import SolveOptions, solve_interval
 from .utility import (
     UtilityCurve,
     classify_family,
@@ -254,15 +254,21 @@ class ResultBundle:
         return "\n".join(rows) + "\n"
 
 
+def _setting(*values):
+    """The first value that is set (flag, spec file, default).  A zero is
+    set, so the validators see it."""
+    return next((v for v in values if v is not None), None)
+
+
 def _solve_spec(spec: SpecFile, args: argparse.Namespace) -> ResultBundle:
-    nodes = getattr(args, "nodes", None) or spec.nodes
     if spec.domain is not None:
-        support = Support.continuous(*spec.domain, n=nodes or 1024)
+        nodes = _setting(getattr(args, "nodes", None), spec.nodes, 1024)
+        support = Support.continuous(*spec.domain, n=nodes)
     else:
         support = Support.discrete(spec.points)
     options = SolveOptions(
-        tol=getattr(args, "tol", None) or spec.tol,
-        max_iter=getattr(args, "max_iter", None) or spec.max_iter or 200,
+        tol=_setting(getattr(args, "tol", None), spec.tol),
+        max_iter=_setting(getattr(args, "max_iter", None), spec.max_iter, 200),
     )
     base = "base2" if getattr(args, "base2", False) else (spec.base or "natural")
 
@@ -271,10 +277,7 @@ def _solve_spec(spec: SpecFile, args: argparse.Namespace) -> ResultBundle:
             support, spec.assessments, options
         )
     else:
-        if any(not c.is_equality for c in spec.constraints):
-            solution = solve_interval(support, spec.constraints, options)
-        else:
-            solution = solve_equality(support, spec.constraints, options)
+        solution = solve_interval(support, spec.constraints, options)
         curve = (
             density_to_curve(solution.density, support)
             if support.is_continuous

@@ -412,12 +412,30 @@ class ConstraintSpec:
         return self.equals is not None
 
 
+def _feature_matrix(
+    support: Support, functions: Sequence[ConstraintFunction]
+) -> NDArray[np.float64]:
+    """Row j holds functions[j] tabulated at every support node."""
+    H = np.empty((len(functions), support.n))
+    for j, f in enumerate(functions):
+        H[j] = f.tabulate(support)
+    return H
+
+
 @dataclass(frozen=True)
 class Problem:
     """A support with validated constraints, ready for the solver."""
 
     support: Support
     constraints: tuple[ConstraintSpec, ...]
+
+    @cached_property
+    def features(self) -> NDArray[np.float64]:
+        """The constraint functions tabulated once: one row per constraint,
+        one column per node.  Every solver step reads rows of this matrix."""
+        return _readonly(
+            _feature_matrix(self.support, [s.function for s in self.constraints])
+        )
 
 
 def validate_problem(
@@ -520,10 +538,18 @@ def exponential_density(
 ) -> NDArray[np.float64]:
     """Density exp(-log_partition - sum_j m_j h_j(x)) at the support nodes.
 
-    The solver builds its final density through this same function, so a
-    solution always reconstructs bit-for-bit from its own multipliers.
+    The solver builds its final density through the same arithmetic, on its
+    problem's feature matrix, so a solution always reconstructs bit-for-bit
+    from its own multipliers.
     """
-    expo = np.full(support.n, -float(log_partition))
-    for m_j, spec in zip(multipliers, constraints):
-        expo -= float(m_j) * spec.function.tabulate(support)
+    H = _feature_matrix(support, [spec.function for spec in constraints])
+    return _exponential_density(H, multipliers, log_partition)
+
+
+def _exponential_density(
+    H: NDArray[np.float64], multipliers: NDArray[np.float64], log_partition: float
+) -> NDArray[np.float64]:
+    expo = np.full(H.shape[1], -float(log_partition))
+    for m_j, h in zip(multipliers, H):
+        expo -= float(m_j) * h
     return np.exp(expo)

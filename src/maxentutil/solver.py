@@ -10,31 +10,37 @@ and the multipliers m minimize the smooth convex dual
     D(m) = log Z(m) + sum_j m_j b_j,
 
 whose gradient is b - E_m[h] and whose Hessian is the covariance matrix of
-the h_j under p.  The solver runs damped Newton on D: full steps with an
+the h_j under p.
+
+One kernel, :func:`_dual_kernel`, maps a feature matrix (one row per h_j,
+one column per node), the quadrature weights and the multipliers to log Z
+and the normalized density, in numpy with a max-shift so that large
+exponents do not overflow.  The public dual maps call it on a matrix they
+tabulate; the solver calls it on the matrix its :class:`Problem` tabulates
+once per solve.
+
+There is one solve path.  An outer active-set loop handles interval targets
+lo <= E[h] <= hi: constraints enter the equality solve when their moment
+violates a bound and leave it when their multiplier sign contradicts
+complementary slackness (a positive multiplier can only pin an upper bound,
+a negative one a lower bound).  With no interval constraints the loop makes
+a single pass.  Each pass runs damped Newton on D: full steps with an
 Armijo backtracking line search, a ridge and a steepest-descent fallback
 when the Hessian is ill-conditioned, and hard failure (rather than a quiet
 wrong answer) when targets are unattainable.
 
-Interval targets lo <= E[h] <= hi are handled by an outer active-set loop:
-constraints enter the equality solve when their moment violates a bound and
-leave it when their multiplier sign contradicts complementary slackness
-(a positive multiplier can only pin an upper bound, a negative one a lower
-bound).
-
-Everything is solved in centered coordinates (each h_j shifted by its mean
-under the uniform density); the shift only moves the log-partition value,
-which is restored before results are reported.
+Newton works on the feature rows centered at their uniform-density means;
+the shift only moves log Z, and the reported log Z and density come from
+the uncentered matrix.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import logsumexp
 
 from .core import (
     ConstraintFunction,
@@ -46,7 +52,8 @@ from .core import (
     SolverDiagnostics,
     Support,
     ValidationError,
-    exponential_density,
+    _exponential_density,
+    _feature_matrix,
     validate_problem,
 )
 from .entropy import differential_entropy, discrete_entropy
@@ -71,6 +78,10 @@ DEFAULT_TOL_CONTINUOUS = 1e-8
 MULTIPLIER_CAP = 1e4
 MAX_OUTER_PASSES = 50
 _ARMIJO_SLOPE = 1e-4
+#: The Armijo test forgives an increase of D this small, relative to
+#: max(1, |D|): near the optimum a full Newton step moves D by less than its
+#: rounding, and without the allowance the search halves the step to nothing.
+_ARMIJO_ROUNDING = 8.0 * np.finfo(np.float64).eps
 _RIDGE = 1e-10
 _COND_LIMIT = 1e12
 
@@ -125,12 +136,48 @@ class DualState:
                 raise ValidationError("dual Hessian must be positive semidefinite")
 
 
-def _feature_matrix(
-    support: Support, functions: Sequence[ConstraintFunction]
+def _dual_kernel(
+    H: NDArray[np.float64], w: NDArray[np.float64], lam: NDArray[np.float64]
+) -> tuple[float, NDArray[np.float64]]:
+    """log Z and the normalized node density p at multipliers lam.
+
+    Z = sum_i w_i exp(-sum_j lam_j H[j, i]).  The exponents are shifted by
+    their maximum before exponentiating, so magnitudes of several hundred
+    neither overflow nor lose the sum.
+    """
+    expo = -(lam @ H)
+    top = expo.max()
+    shifted = np.exp(expo - top)
+    z = w @ shifted
+    return float(top + np.log(z)), shifted / z
+
+
+def _covariance(
+    H: NDArray[np.float64], wp: NDArray[np.float64], mean: NDArray[np.float64]
 ) -> NDArray[np.float64]:
-    if len(functions) == 0:
-        return np.zeros((0, support.n))
-    return np.vstack([f.tabulate(support) for f in functions])
+    """Covariance of the rows of H under node masses wp, symmetrized."""
+    cen = H - mean[:, None]
+    cov = (cen * wp) @ cen.T
+    return 0.5 * (cov + cov.T)
+
+
+def _equality_targets(constraints: Sequence[ConstraintSpec]) -> NDArray[np.float64]:
+    for spec in constraints:
+        if not spec.is_equality:
+            raise ValidationError("dual calculus is defined for equality targets")
+    return np.array([spec.equals for spec in constraints], dtype=np.float64)
+
+
+def _moments_at(
+    support: Support,
+    constraints: Sequence[ConstraintSpec],
+    multipliers: Sequence[float] | NDArray[np.float64],
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """Feature matrix, node masses w*p and moments E[h] at the multipliers."""
+    H = _feature_matrix(support, [s.function for s in constraints])
+    _, p = _dual_kernel(H, support.weights, np.asarray(multipliers, dtype=np.float64))
+    wp = support.weights * p
+    return H, wp, wp @ H.T
 
 
 def log_partition(
@@ -147,14 +194,7 @@ def log_partition(
     H = _feature_matrix(support, functions)
     if lam.shape != (H.shape[0],):
         raise ValidationError("one multiplier per constraint function is required")
-    return float(logsumexp(-(lam @ H), b=support.weights))
-
-
-def _equality_targets(constraints: Sequence[ConstraintSpec]) -> NDArray[np.float64]:
-    for spec in constraints:
-        if not spec.is_equality:
-            raise ValidationError("dual calculus is defined for equality targets")
-    return np.array([spec.equals for spec in constraints], dtype=np.float64)
+    return _dual_kernel(H, support.weights, lam)[0]
 
 
 def dual_value(
@@ -169,17 +209,6 @@ def dual_value(
     return lz + float(lam @ b)
 
 
-def _moments_at(
-    support: Support, H: NDArray[np.float64], lam: NDArray[np.float64]
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Density (as node values) and moments E[h] at a multiplier vector."""
-    expo = -(lam @ H)
-    lz = float(logsumexp(expo, b=support.weights))
-    p = np.exp(expo - lz)
-    mom = (support.weights * p) @ H.T
-    return p, mom
-
-
 def dual_gradient(
     support: Support,
     constraints: Sequence[ConstraintSpec],
@@ -187,10 +216,7 @@ def dual_gradient(
 ) -> NDArray[np.float64]:
     """Gradient of the dual: b - E[h] at the current multipliers."""
     b = _equality_targets(constraints)
-    lam = np.asarray(multipliers, dtype=np.float64)
-    H = _feature_matrix(support, [s.function for s in constraints])
-    _, mom = _moments_at(support, H, lam)
-    return b - mom
+    return b - _moments_at(support, constraints, multipliers)[2]
 
 
 def dual_hessian(
@@ -199,12 +225,7 @@ def dual_hessian(
     multipliers: Sequence[float] | NDArray[np.float64],
 ) -> NDArray[np.float64]:
     """Hessian of the dual: the covariance matrix of the h_j under p."""
-    lam = np.asarray(multipliers, dtype=np.float64)
-    H = _feature_matrix(support, [s.function for s in constraints])
-    p, mom = _moments_at(support, H, lam)
-    cen = H - mom[:, None]
-    hess = (cen * (support.weights * p)) @ cen.T
-    return 0.5 * (hess + hess.T)
+    return _covariance(*_moments_at(support, constraints, multipliers))
 
 
 def dual_state(
@@ -213,56 +234,20 @@ def dual_state(
     multipliers: Sequence[float] | NDArray[np.float64],
     iteration: int = 0,
 ) -> DualState:
+    b = _equality_targets(constraints)
     lam = np.asarray(multipliers, dtype=np.float64)
+    H, wp, mom = _moments_at(support, constraints, lam)
     return DualState(
         multipliers=lam,
-        gradient=dual_gradient(support, constraints, lam),
-        hessian=dual_hessian(support, constraints, lam),
+        gradient=b - mom,
+        hessian=_covariance(H, wp, mom),
         iteration=iteration,
     )
 
 
-class _CenteredDual:
-    """The dual problem in centered coordinates for one fixed target vector."""
-
-    def __init__(
-        self,
-        support: Support,
-        functions: Sequence[ConstraintFunction],
-        targets: NDArray[np.float64],
-    ):
-        self.support = support
-        self.w = support.weights
-        self.H = _feature_matrix(support, functions)
-        wsum = float(self.w.sum())
-        self.center = (self.w @ self.H.T) / wsum
-        self.Hc = self.H - self.center[:, None]
-        self.bc = targets - self.center
-
-    def value(self, lam: NDArray[np.float64]) -> float:
-        return float(logsumexp(-(lam @ self.Hc), b=self.w)) + float(lam @ self.bc)
-
-    def density_and_gradient(
-        self, lam: NDArray[np.float64]
-    ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        expo = -(lam @ self.Hc)
-        lz = float(logsumexp(expo, b=self.w))
-        p = np.exp(expo - lz)
-        return p, self.bc - (self.w * p) @ self.Hc.T
-
-    def hessian(
-        self, lam: NDArray[np.float64], p: NDArray[np.float64]
-    ) -> NDArray[np.float64]:
-        mom = (self.w * p) @ self.Hc.T
-        cen = self.Hc - mom[:, None]
-        hess = (cen * (self.w * p)) @ cen.T
-        return 0.5 * (hess + hess.T)
-
-
 def _check_target_attainable(
-    support: Support, function: ConstraintFunction, target: float
+    function: ConstraintFunction, h: NDArray[np.float64], target: float
 ) -> None:
-    h = function.tabulate(support)
     h_min, h_max = float(h.min()), float(h.max())
     if h_min == h_max:
         raise InfeasibleError(
@@ -277,24 +262,32 @@ def _check_target_attainable(
 
 
 def _newton(
-    dual: _CenteredDual,
+    H: NDArray[np.float64],
+    w: NDArray[np.float64],
+    b: NDArray[np.float64],
     lam0: NDArray[np.float64],
     tol: float,
     max_iter: int,
     cap: float,
 ) -> tuple[NDArray[np.float64], int, float, tuple[float, ...]]:
-    """Damped Newton descent on the centered dual from a warm start."""
-    m = dual.Hc.shape[0]
+    """Damped Newton descent on D(lam) = log Z(lam) + lam . b from a warm
+    start.  Returns the multipliers, the accepted steps, the final gradient
+    max-norm and D at the start and after every accepted step."""
+    m = H.shape[0]
     lam = np.array(lam0, dtype=np.float64)
+    lz, p = _dual_kernel(H, w, lam)
+    here = lz + float(lam @ b)
+    trace = [here]
     if m == 0:
-        return lam, 0, 0.0, (dual.value(lam),)
-    trace = [dual.value(lam)]
+        return lam, 0, 0.0, tuple(trace)
     for it in range(max_iter):
-        p, g = dual.density_and_gradient(lam)
+        wp = w * p
+        mom = wp @ H.T
+        g = b - mom
         gnorm = float(np.max(np.abs(g)))
         if gnorm <= tol:
             return lam, it, gnorm, tuple(trace)
-        hess = dual.hessian(lam, p) + _RIDGE * np.eye(m)
+        hess = _covariance(H, wp, mom) + _RIDGE * np.eye(m)
         direction = None
         if np.all(np.isfinite(hess)) and np.linalg.cond(hess) <= _COND_LIMIT:
             try:
@@ -304,16 +297,22 @@ def _newton(
         if direction is None or not np.all(np.isfinite(direction)):
             direction = -g  # steepest descent on an ill-conditioned Hessian
         slope = float(g @ direction)
+        allowance = _ARMIJO_ROUNDING * max(1.0, abs(here))
         step = 1.0
-        here = trace[-1]
-        while dual.value(lam + step * direction) > here + _ARMIJO_SLOPE * step * slope:
+        while True:
+            trial = lam + step * direction
+            lz, p = _dual_kernel(H, w, trial)
+            value = lz + float(trial @ b)
+            # Written so that a NaN value is rejected too.
+            if value <= here + _ARMIJO_SLOPE * step * slope + allowance:
+                break
             step *= 0.5
             if step < 1e-14:
                 raise InfeasibleError(
                     "line search stalled; the problem is infeasible or unbounded"
                 )
-        lam = lam + step * direction
-        trace.append(dual.value(lam))
+        lam, here = trial, value
+        trace.append(here)
         if float(np.max(np.abs(lam))) > cap:
             raise InfeasibleError(
                 f"multiplier magnitude exceeded {cap:g}; the problem is "
@@ -331,7 +330,96 @@ def _entropy_of(support: Support, density: NDArray[np.float64]) -> float:
     return discrete_entropy(density).value
 
 
-def _require_representable(density: NDArray[np.float64]) -> None:
+def _solve(problem: Problem, options: SolveOptions) -> MaxEntSolution:
+    """The active-set loop around Newton, on the problem's feature matrix."""
+    support, specs = problem.support, problem.constraints
+    H, w = problem.features, support.weights
+    tol = options.resolve_tol(support)
+
+    eq_ids = [i for i, s in enumerate(specs) if s.is_equality]
+    int_ids = [i for i, s in enumerate(specs) if not s.is_equality]
+    for i in eq_ids:
+        _check_target_attainable(specs[i].function, H[i], specs[i].equals)
+    for i in int_ids:
+        lo, hi = specs[i].bounds
+        h_min, h_max = float(H[i].min()), float(H[i].max())
+        if lo >= h_max or hi <= h_min:
+            raise InfeasibleError(
+                f"interval [{lo:g}, {hi:g}] for {specs[i].function.label()} "
+                f"cannot intersect the attainable range ({h_min:g}, {h_max:g})"
+            )
+
+    center = (H @ w) / float(w.sum())
+    Hc = H - center[:, None]
+    active: dict[int, str] = {}
+    lam = np.zeros(len(specs))
+    seen: set[frozenset] = set()
+    total_iters = 0
+    trace: list[float] = []
+    gnorm = 0.0
+
+    for _ in range(MAX_OUTER_PASSES):
+        solve_ids = eq_ids + sorted(active)
+        targets = np.array(
+            [
+                specs[i].equals
+                if specs[i].is_equality
+                else specs[i].bounds[0 if active[i] == "lo" else 1]
+                for i in solve_ids
+            ],
+            dtype=np.float64,
+        )
+        for i, t in zip(solve_ids, targets):
+            if not specs[i].is_equality:
+                _check_target_attainable(specs[i].function, H[i], float(t))
+
+        sub, iters, gnorm, sub_trace = _newton(
+            Hc[solve_ids], w, targets - center[solve_ids], lam[solve_ids],
+            tol, options.max_iter, options.multiplier_cap,
+        )
+        total_iters += iters
+        trace.extend(sub_trace)
+        lam[:] = 0.0
+        lam[solve_ids] = sub
+        if not int_ids:
+            break
+
+        _, p = _dual_kernel(H, w, lam)
+        moment = (w * p) @ H.T
+        changed = False
+        for i in int_ids:
+            lo, hi = specs[i].bounds
+            if i not in active:
+                if moment[i] < lo:
+                    active[i] = "lo"
+                    changed = True
+                elif moment[i] > hi:
+                    active[i] = "hi"
+                    changed = True
+            elif lo < hi:
+                # Complementary slackness: the sign of the multiplier says
+                # which bound it is allowed to pin.
+                if active[i] == "lo" and lam[i] > 0.0:
+                    del active[i]
+                    changed = True
+                elif active[i] == "hi" and lam[i] < 0.0:
+                    del active[i]
+                    changed = True
+        if not changed:
+            break
+        config = frozenset(active.items())
+        if config in seen:
+            raise ActiveSetCycleError(
+                "active-set cycle: the same working set recurred without convergence"
+            )
+        seen.add(config)
+    else:
+        raise ActiveSetCycleError(
+            f"active-set loop exceeded {MAX_OUTER_PASSES} outer passes"
+        )
+
+    lz, _ = _dual_kernel(H, w, lam)
+    density = _exponential_density(H, lam, lz)
     # exp(-log Z - m . h) is positive in exact arithmetic, but a target close
     # enough to the attainable boundary needs multipliers so large that the
     # density underflows to zero at the far nodes.
@@ -341,22 +429,37 @@ def _require_representable(density: NDArray[np.float64]) -> None:
             "point underflow); the target is too close to the attainable "
             "boundary to represent"
         )
+    moment = (w * density) @ H.T
+    residuals = []
+    labels = []
+    for i, spec in enumerate(specs):
+        if spec.is_equality:
+            residuals.append(moment[i] - spec.equals)
+            labels.append("eq")
+        else:
+            lo, hi = spec.bounds
+            if moment[i] < lo - tol or moment[i] > hi + tol:
+                raise InfeasibleError(
+                    f"interval constraint {spec.function.label()} violated after "
+                    "the active-set loop; the problem is infeasible or unbounded"
+                )
+            residuals.append(
+                moment[i] - lo if moment[i] < lo else max(moment[i] - hi, 0.0)
+            )
+            labels.append(active.get(i, "slack"))
 
-
-def _build_solution(
-    problem: Problem,
-    multipliers: NDArray[np.float64],
-    diagnostics: SolverDiagnostics,
-) -> MaxEntSolution:
-    support, specs = problem.support, problem.constraints
-    lz = log_partition(support, [s.function for s in specs], multipliers)
-    density = exponential_density(support, specs, multipliers, lz)
-    _require_representable(density)
+    diagnostics = SolverDiagnostics(
+        iterations=total_iters,
+        grad_max_norm=gnorm,
+        residuals=tuple(float(r) for r in residuals),
+        active_bounds=tuple(labels),
+        dual_trace=tuple(trace),
+    )
     return MaxEntSolution(
         support=support,
         constraints=specs,
         density=density,
-        multipliers=multipliers,
+        multipliers=lam,
         log_partition=lz,
         entropy=_entropy_of(support, density),
         diagnostics=diagnostics,
@@ -376,28 +479,8 @@ def solve_equality(
     tolerance.
     """
     problem = validate_problem(support, constraints)
-    specs = problem.constraints
-    targets = _equality_targets(specs)
-    tol = options.resolve_tol(support)
-    for spec in specs:
-        _check_target_attainable(support, spec.function, spec.equals)
-
-    dual = _CenteredDual(support, [s.function for s in specs], targets)
-    lam, iters, gnorm, trace = _newton(
-        dual, np.zeros(len(specs)), tol, options.max_iter, options.multiplier_cap
-    )
-
-    p, _ = dual.density_and_gradient(lam)
-    mom = (support.weights * p) @ dual.H.T
-    residuals = tuple(float(r) for r in (mom - targets))
-    diagnostics = SolverDiagnostics(
-        iterations=iters,
-        grad_max_norm=gnorm,
-        residuals=residuals,
-        active_bounds=("eq",) * len(specs),
-        dual_trace=trace,
-    )
-    return _build_solution(problem, lam, diagnostics)
+    _equality_targets(problem.constraints)
+    return _solve(problem, options)
 
 
 def solve_interval(
@@ -411,134 +494,11 @@ def solve_interval(
     Interval constraints start slack and are activated at a violated bound;
     an active constraint whose multiplier sign contradicts complementary
     slackness is released again.  Revisiting a previously seen active set
-    (or running past 50 outer passes) raises ActiveSetCycleError.
+    (or running past 50 outer passes) raises ActiveSetCycleError.  With
+    equality constraints only, this is the same solve as
+    :func:`solve_equality`.
     """
-    problem = validate_problem(support, constraints)
-    specs = problem.constraints
-    tol = options.resolve_tol(support)
-
-    eq_ids = [i for i, s in enumerate(specs) if s.is_equality]
-    int_ids = [i for i, s in enumerate(specs) if not s.is_equality]
-    for i in eq_ids:
-        _check_target_attainable(support, specs[i].function, specs[i].equals)
-    tab = {i: specs[i].function.tabulate(support) for i in int_ids}
-    for i in int_ids:
-        lo, hi = specs[i].bounds
-        h_min, h_max = float(tab[i].min()), float(tab[i].max())
-        if lo >= h_max or hi <= h_min:
-            raise InfeasibleError(
-                f"interval [{lo:g}, {hi:g}] for {specs[i].function.label()} "
-                f"cannot intersect the attainable range ({h_min:g}, {h_max:g})"
-            )
-
-    active: dict[int, str] = {}
-    full_lam = np.zeros(len(specs))
-    seen: set[frozenset] = set()
-    total_iters = 0
-    trace: list[float] = []
-    gnorm = 0.0
-
-    for _ in range(MAX_OUTER_PASSES):
-        solve_ids = eq_ids + sorted(active)
-        funcs = [specs[i].function for i in solve_ids]
-        targets = np.array(
-            [
-                specs[i].equals
-                if specs[i].is_equality
-                else (specs[i].bounds[0] if active[i] == "lo" else specs[i].bounds[1])
-                for i in solve_ids
-            ],
-            dtype=np.float64,
-        )
-        for i, t in zip(solve_ids, targets):
-            if not specs[i].is_equality:
-                _check_target_attainable(support, specs[i].function, float(t))
-
-        dual = _CenteredDual(support, funcs, targets)
-        lam, iters, gnorm, sub_trace = _newton(
-            dual, full_lam[solve_ids], tol, options.max_iter, options.multiplier_cap
-        )
-        total_iters += iters
-        trace.extend(sub_trace)
-        full_lam[:] = 0.0
-        full_lam[solve_ids] = lam
-
-        density = exponential_density(
-            support, specs, full_lam,
-            log_partition(support, [s.function for s in specs], full_lam),
-        )
-        changed = False
-        for i in int_ids:
-            moment = float(np.dot(support.weights * density, tab[i]))
-            lo, hi = specs[i].bounds
-            if i not in active:
-                if moment < lo:
-                    active[i] = "lo"
-                    changed = True
-                elif moment > hi:
-                    active[i] = "hi"
-                    changed = True
-            elif lo < hi:
-                # Complementary slackness: the sign of the multiplier says
-                # which bound it is allowed to pin.
-                if active[i] == "lo" and full_lam[i] > 0.0:
-                    del active[i]
-                    changed = True
-                elif active[i] == "hi" and full_lam[i] < 0.0:
-                    del active[i]
-                    changed = True
-        if not changed:
-            break
-        config = frozenset(active.items())
-        if config in seen:
-            raise ActiveSetCycleError(
-                "active-set cycle: the same working set recurred without convergence"
-            )
-        seen.add(config)
-    else:
-        raise ActiveSetCycleError(
-            f"active-set loop exceeded {MAX_OUTER_PASSES} outer passes"
-        )
-
-    full_lam[[i for i in int_ids if i not in active]] = 0.0
-    lz = log_partition(support, [s.function for s in specs], full_lam)
-    density = exponential_density(support, specs, full_lam, lz)
-    _require_representable(density)
-    residuals = []
-    labels = []
-    for i, spec in enumerate(specs):
-        moment = float(np.dot(support.weights * density, spec.function.tabulate(support)))
-        if spec.is_equality:
-            residuals.append(moment - spec.equals)
-            labels.append("eq")
-        else:
-            lo, hi = spec.bounds
-            if moment < lo - tol or moment > hi + tol:
-                raise InfeasibleError(
-                    f"interval constraint {spec.function.label()} violated after "
-                    "the active-set loop; the problem is infeasible or unbounded"
-                )
-            residuals.append(
-                moment - lo if moment < lo else (moment - hi if moment > hi else 0.0)
-            )
-            labels.append(active.get(i, "slack"))
-
-    diagnostics = SolverDiagnostics(
-        iterations=total_iters,
-        grad_max_norm=gnorm,
-        residuals=tuple(float(r) for r in residuals),
-        active_bounds=tuple(labels),
-        dual_trace=tuple(trace),
-    )
-    return MaxEntSolution(
-        support=support,
-        constraints=specs,
-        density=density,
-        multipliers=full_lam,
-        log_partition=lz,
-        entropy=_entropy_of(support, density),
-        diagnostics=diagnostics,
-    )
+    return _solve(validate_problem(support, constraints), options)
 
 
 def moments(
@@ -546,9 +506,5 @@ def moments(
 ) -> NDArray[np.float64]:
     """E[h] under a solved density, for any constraint functions."""
     support = solution.support
-    out = np.empty(len(functions))
-    for j, f in enumerate(functions):
-        out[j] = float(
-            np.dot(support.weights * solution.density, f.tabulate(support))
-        )
-    return out
+    H = _feature_matrix(support, functions)
+    return (support.weights * solution.density) @ H.T

@@ -286,15 +286,11 @@ def maxent_utility(
     """Maximum-entropy utility density under moment constraints, plus its
     cumulative curve.
 
-    Interval targets route through the active-set solver; pure equality
-    sets go straight to Newton.
+    Equality and interval targets may be mixed (see :func:`solve_interval`).
     """
     if not support.is_continuous:
         raise ValidationError("utility curves need a continuous support")
-    if any(not spec.is_equality for spec in constraints):
-        solution = solve_interval(support, constraints, options)
-    else:
-        solution = solve_equality(support, constraints, options)
+    solution = solve_interval(support, constraints, options)
     return density_to_curve(solution.density, support), solution
 
 

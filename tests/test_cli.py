@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from maxentutil.cli import main
 from maxentutil.core import Support
 from maxentutil.entropy import differential_entropy
 
@@ -138,6 +139,27 @@ def test_tol_flag_is_honored():
     assert res.returncode == 0
     loose = float(summary_dict(res.stdout)["residual[0]"])
     assert abs(loose) <= 1e-3
+
+
+@pytest.mark.parametrize(
+    "spec_line, flags, message",
+    [
+        ("nodes = 0", [], "at least 16 nodes"),
+        ("nodes = 128", ["--nodes", "0"], "at least 16 nodes"),
+        ("tol = 0", [], "tol must be positive"),
+        ("tol = 1e-3", ["--tol", "0"], "tol must be positive"),
+        ("max_iter = 0", [], "max_iter must be at least 1"),
+        ("max_iter = 50", ["--max-iter", "0"], "max_iter must be at least 1"),
+    ],
+)
+def test_zero_settings_reach_the_validators(
+    tmp_path, capsys, spec_line, flags, message
+):
+    # A zero is a setting, not a missing one: flag, then spec, then default.
+    spec = tmp_path / "zero.spec"
+    spec.write_text(f"domain = 0 5\nconstraint = power 1 eq 1.0\n{spec_line}\n")
+    assert main(["solve", str(spec), *flags]) == 1
+    assert message in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ entropy

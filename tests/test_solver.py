@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -133,6 +134,85 @@ def test_dual_trace_is_monotone_nonincreasing():
     trace = np.asarray(sol.diagnostics.dual_trace)
     assert len(trace) == sol.diagnostics.iterations + 1
     assert np.all(np.diff(trace) <= 1e-12)
+
+
+@pytest.mark.parametrize(
+    "support, targets",
+    [
+        # E[x], E[x^2] on [0, 2]; the Hessian's condition number is 119.
+        (Support.continuous(0.0, 2.0, 128), [1.1220040211442108, 1.5990287920780002]),
+        # Powers 1..5 on [0, 5].
+        (
+            Support.continuous(0.0, 5.0, 128),
+            [
+                1.2643997555282347,
+                2.451480623316138,
+                5.833089815182364,
+                15.760782065949963,
+                46.57189763952141,
+            ],
+        ),
+        # Powers 1..5 on [0, 2], the moments of a random positive density.
+        (
+            Support.continuous(0.0, 2.0, 128),
+            [
+                1.0837462919586134,
+                1.521041329224289,
+                2.3575341986704674,
+                3.8567357996228337,
+                6.530017796476205,
+            ],
+        ),
+    ],
+)
+def test_newton_converges_at_the_rounding_floor_of_the_dual(support, targets):
+    # Near the optimum a full Newton step changes the dual by less than its
+    # rounding error; the line search must accept it instead of halving the
+    # step to nothing and running out of iterations.
+    specs = [
+        ConstraintSpec.equality(ConstraintFunction.power(k), t)
+        for k, t in enumerate(targets, start=1)
+    ]
+    sol = solve_equality(support, specs)
+    assert sol.diagnostics.grad_max_norm <= 1e-8
+    for k, t in enumerate(targets, start=1):
+        got = support.integrate(sol.density * support.nodes**k)
+        assert abs(got - t) <= 1e-8 * max(1.0, t)
+
+
+@pytest.mark.parametrize(
+    "solve, specs",
+    [
+        (solve_equality, [_mean_spec(1.0)]),
+        (
+            solve_interval,
+            [
+                ConstraintSpec.equality(ConstraintFunction.power(1), 1.5),
+                ConstraintSpec.interval(ConstraintFunction.power(2), 1.0, 3.0),
+                ConstraintSpec.interval(
+                    ConstraintFunction.indicator(0.0, 1.0), 0.5, 0.6
+                ),
+            ],
+        ),
+    ],
+)
+def test_solve_tabulates_each_constraint_at_most_twice(monkeypatch, solve, specs):
+    calls = collections.Counter()
+    tabulate = ConstraintFunction.tabulate
+
+    def counted(self, support):
+        calls[self] += 1
+        return tabulate(self, support)
+
+    monkeypatch.setattr(ConstraintFunction, "tabulate", counted)
+    sol = solve(Support.continuous(0.0, 5.0, 1024), specs)
+    if solve is solve_interval:
+        # Two active-set passes: each pass adds one trace entry at its start.
+        assert len(sol.diagnostics.dual_trace) - sol.diagnostics.iterations == 2
+    # Once for the problem's feature matrix, once for the solution's own
+    # reconstruction check.
+    assert set(calls) == {spec.function for spec in specs}
+    assert max(calls.values()) <= 2
 
 
 # ---------------------------------------------------------------- dual maps

@@ -18,6 +18,7 @@ output contract (see :mod:`maxentutil.cli`) holds such drift within rel
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, cached_property
@@ -230,21 +231,25 @@ class Support:
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (self.n,):
             raise ValidationError("support mismatch: expected one value per node")
-        edges = self.panel_edges
-        at_nodes = np.empty(self.n)
-        at_edges = np.empty(len(edges))
-        at_edges[0] = 0.0
-        pos = 0
-        running = 0.0
-        for j, q in enumerate(self.panel_sizes):
-            hw = 0.5 * (edges[j + 1] - edges[j])
-            chunk = values[pos : pos + q]
-            at_nodes[pos : pos + q] = running + hw * (
-                _partial_integration_matrix(q) @ chunk
-            )
-            running += hw * float(np.dot(_reference_rule(q)[1], chunk))
-            at_edges[j + 1] = running
-            pos += q
+        sizes = self.panel_sizes
+        half_widths = 0.5 * np.diff(self.panel_edges)
+        within = np.empty(self.n)
+        masses = np.empty(len(sizes))
+        # Panels come in at most two sizes, so each size is one matmul over a
+        # (panels, nodes) block instead of a Python loop over panels.
+        node = panel = 0
+        for q, group in itertools.groupby(sizes):
+            count = len(list(group))
+            block = values[node : node + q * count].reshape(count, q)
+            hw = half_widths[panel : panel + count, None]
+            within[node : node + q * count] = (
+                hw * (block @ _partial_integration_matrix(q).T)
+            ).ravel()
+            masses[panel : panel + count] = hw[:, 0] * (block @ _reference_rule(q)[1])
+            node += q * count
+            panel += count
+        at_edges = np.concatenate(([0.0], np.cumsum(masses)))
+        at_nodes = within + np.repeat(at_edges[:-1], sizes)
         return at_nodes, at_edges
 
 

@@ -20,11 +20,13 @@ tabulate; the solver calls it on the matrix its :class:`Problem` tabulates
 once per solve.
 
 There is one solve path.  An outer active-set loop handles interval targets
-lo <= E[h] <= hi: constraints enter the equality solve when their moment
-violates a bound and leave it when their multiplier sign contradicts
-complementary slackness (a positive multiplier can only pin an upper bound,
-a negative one a lower bound).  With no interval constraints the loop makes
-a single pass.  Each pass runs damped Newton on D: full steps with an
+lo <= E[h] <= hi: after each pass the one constraint whose moment violates
+a bound by the largest share of its attainable range enters the equality
+solve (bounds violated together need not be attainable together), and
+constraints leave it when their multiplier sign contradicts complementary
+slackness (a positive multiplier can only pin an upper bound, a negative
+one a lower bound).  With no interval constraints the loop makes a single
+pass.  Each pass runs damped Newton on D: full steps with an
 Armijo backtracking line search, a ridge and a steepest-descent fallback
 when the Hessian is ill-conditioned, and hard failure (rather than a quiet
 wrong answer) when targets are unattainable.
@@ -340,13 +342,14 @@ def _solve(problem: Problem, options: SolveOptions) -> MaxEntSolution:
     int_ids = [i for i, s in enumerate(specs) if not s.is_equality]
     for i in eq_ids:
         _check_target_attainable(specs[i].function, H[i], specs[i].equals)
+    h_min, h_max = H.min(axis=1), H.max(axis=1)
     for i in int_ids:
         lo, hi = specs[i].bounds
-        h_min, h_max = float(H[i].min()), float(H[i].max())
-        if lo >= h_max or hi <= h_min:
+        if lo >= h_max[i] or hi <= h_min[i]:
             raise InfeasibleError(
                 f"interval [{lo:g}, {hi:g}] for {specs[i].function.label()} "
-                f"cannot intersect the attainable range ({h_min:g}, {h_max:g})"
+                "cannot intersect the attainable range "
+                f"({h_min[i]:g}, {h_max[i]:g})"
             )
 
     center = (H @ w) / float(w.sum())
@@ -387,15 +390,16 @@ def _solve(problem: Problem, options: SolveOptions) -> MaxEntSolution:
         _, p = _dual_kernel(H, w, lam)
         moment = (w * p) @ H.T
         changed = False
+        worst, worst_share = None, 0.0
         for i in int_ids:
             lo, hi = specs[i].bounds
             if i not in active:
-                if moment[i] < lo:
-                    active[i] = "lo"
-                    changed = True
-                elif moment[i] > hi:
-                    active[i] = "hi"
-                    changed = True
+                gap = max(lo - moment[i], moment[i] - hi)
+                # A constant row has no range, but it never violates a
+                # bracket that passed the range check above.
+                share = gap / (h_max[i] - h_min[i]) if gap > 0.0 else 0.0
+                if share > worst_share:
+                    worst, worst_share = i, share
             elif lo < hi:
                 # Complementary slackness: the sign of the multiplier says
                 # which bound it is allowed to pin.
@@ -405,6 +409,9 @@ def _solve(problem: Problem, options: SolveOptions) -> MaxEntSolution:
                 elif active[i] == "hi" and lam[i] < 0.0:
                     del active[i]
                     changed = True
+        if worst is not None:
+            active[worst] = "lo" if moment[worst] < specs[worst].bounds[0] else "hi"
+            changed = True
         if not changed:
             break
         config = frozenset(active.items())
@@ -491,9 +498,10 @@ def solve_interval(
     """Maximum-entropy density with interval targets lo <= E[h] <= hi.
 
     Equality constraints may be mixed in; they stay pinned throughout.
-    Interval constraints start slack and are activated at a violated bound;
-    an active constraint whose multiplier sign contradicts complementary
-    slackness is released again.  Revisiting a previously seen active set
+    Interval constraints start slack; each outer pass pins one bound, the
+    one violated by the largest share of its function's attainable range,
+    and releases every active constraint whose multiplier sign contradicts
+    complementary slackness.  Revisiting a previously seen active set
     (or running past 50 outer passes) raises ActiveSetCycleError.  With
     equality constraints only, this is the same solve as
     :func:`solve_equality`.

@@ -1,0 +1,107 @@
+"""Property tests of the assessed-utility pipeline against its closed form.
+
+Assessed points U(x_k) = v_k, with x_0 = a, v_0 = 0 and x_{K+1} = b,
+v_{K+1} = 1 added, have a maximum-entropy utility density that is flat
+between consecutive (snapped) points at height
+(v_{k+1} - v_k) / (x_{k+1} - x_k).  Its curve therefore runs from 0 to 1
+through every assessed value, and its risk aversion -(ln u)' is 0 away from
+the steps.  Hypothesis draws the assessments; the oracle is that formula.
+"""
+
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from maxentutil.cli import main
+from maxentutil.core import Support
+from maxentutil.risk import risk_aversion_analytic, risk_aversion_numeric
+from maxentutil.utility import maxent_utility_from_assessments
+
+DOMAINS = [(0.0, 1.0), (-1.0, 2.0), (0.0, 5.0)]
+NODES = [128, 1024]
+#: Least gap between consecutive points or values, as a share of their range.
+GAP = 0.02
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+@st.composite
+def spaced_shares(draw, k):
+    """k increasing numbers in (0, 1), each GAP or more from its neighbours
+    and from 0 and 1."""
+    weights = np.array(
+        draw(st.lists(st.floats(0.01, 1.0), min_size=k + 1, max_size=k + 1))
+    )
+    free = 1.0 - (k + 1) * GAP
+    return GAP * np.arange(1, k + 1) + free * np.cumsum(weights)[:k] / weights.sum()
+
+
+@st.composite
+def assessment_problems(draw):
+    a, b = draw(st.sampled_from(DOMAINS))
+    n = draw(st.sampled_from(NODES))
+    k = draw(st.integers(1, 6))
+    xs = a + (b - a) * draw(spaced_shares(k))
+    vs = draw(spaced_shares(k))
+    return Support.continuous(a, b, n), [(float(x), float(v)) for x, v in zip(xs, vs)]
+
+
+def _snapped(edges, xs):
+    return np.array([edges[np.argmin(np.abs(edges - x))] for x in xs])
+
+
+@PROPERTY_SETTINGS
+@given(assessment_problems())
+def test_assessed_utility_matches_the_closed_form(problem):
+    support, assessments = problem
+    curve, sol = maxent_utility_from_assessments(support, assessments)
+    grid = curve.support
+    a, b = grid.lower, grid.upper
+
+    assert curve.edge_curve[0] == 0.0 and curve.edge_curve[-1] == 1.0
+    assert np.all(np.diff(curve.curve) >= 0.0)
+    assert np.all(np.diff(curve.edge_curve) >= 0.0)
+
+    xs = _snapped(grid.panel_edges, [x for x, _ in assessments])
+    knots = np.concatenate(([a], xs, [b]))
+    levels = np.concatenate(([0.0], [v for _, v in assessments], [1.0]))
+    heights = np.diff(levels) / np.diff(knots)
+    expected = heights[np.searchsorted(knots, grid.nodes) - 1]
+    np.testing.assert_allclose(sol.density, expected, rtol=1e-6)
+    np.testing.assert_allclose(curve.evaluate(xs), levels[1:-1], rtol=0, atol=1e-6)
+
+    analytic = risk_aversion_analytic(sol)
+    assert np.all(analytic.gamma == 0.0)
+    numeric = risk_aversion_numeric(curve)
+    at_kept = np.isin(numeric.node_indices, analytic.node_indices)
+    assert np.max(np.abs(numeric.gamma[at_kept]), initial=0.0) <= 1e-8
+
+
+@PROPERTY_SETTINGS
+@given(assessment_problems())
+def test_cli_round_trip_reproduces_the_in_process_table(problem):
+    support, assessments = problem
+    curve, sol = maxent_utility_from_assessments(support, assessments)
+    profile = risk_aversion_analytic(sol)
+    gamma = np.full(sol.support.n, np.nan)
+    gamma[profile.node_indices] = profile.gamma
+
+    lines = [f"domain = {support.lower!r} {support.upper!r}", f"nodes = {support.n}"]
+    lines += [f"assessment = {x!r} {v!r}" for x, v in assessments]
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = os.path.join(tmp, "assessed.spec")
+        out = os.path.join(tmp, "table.csv")
+        with open(spec, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert main(["solve", spec, "--quiet", "--out", out]) == 0
+        with open(out, encoding="utf-8") as fh:
+            rows = fh.read().splitlines()
+
+    assert rows[0] == "x,u,U,gamma"
+    table = np.array(
+        [[float(c) if c else np.nan for c in row.split(",")] for row in rows[1:]]
+    )
+    expected = np.column_stack((sol.support.nodes, sol.density, curve.curve, gamma))
+    np.testing.assert_array_equal(table, expected)

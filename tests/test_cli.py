@@ -78,6 +78,14 @@ def test_solve_without_out_prints_table_after_blank_line():
     assert len(lines) == 129
 
 
+def test_two_assessments_solve(tmp_path):
+    spec = tmp_path / "two.spec"
+    spec.write_text("domain = 0 1\nassessment = 0.25 0.5\nassessment = 0.75 0.8\n")
+    res = run_cli("solve", str(spec))
+    assert res.returncode == 0, res.stderr
+    assert summary_dict(res.stdout)["status"] == "converged"
+
+
 def test_quiet_drops_the_summary():
     res = run_cli("solve", str(DATA / "uniform.spec"), "--quiet")
     assert res.returncode == 0

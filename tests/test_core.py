@@ -8,6 +8,8 @@ from maxentutil.core import (
     SolverDiagnostics,
     Support,
     ValidationError,
+    _partial_integration_matrix,
+    _reference_rule,
     validate_problem,
 )
 
@@ -44,11 +46,36 @@ def test_cumulative_of_uniform_is_identity():
     assert np.max(np.abs(at_edges - s.panel_edges)) < 1e-13
 
 
-def test_cumulative_of_exponential_matches_closed_form():
-    s = Support.continuous(0.0, 2.0, 1024)
+# 1000 nodes split into 8 panels of 32 and 24 of 31: two panel sizes.
+@pytest.mark.parametrize("n", [1024, 1000])
+def test_cumulative_of_exponential_matches_closed_form(n):
+    s = Support.continuous(0.0, 2.0, n)
     at_nodes, at_edges = s.cumulative(np.exp(s.nodes))
     assert np.max(np.abs(at_nodes - (np.exp(s.nodes) - 1.0))) < 1e-12
     assert abs(at_edges[-1] - (np.exp(2.0) - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [16, 100, 1000, 8192])
+def test_cumulative_matches_a_panel_by_panel_loop(n):
+    # Reference: integrate each panel on its own and carry the running sum.
+    # The batched version sums in another order, so it may differ by a few
+    # ulps of the running total.
+    s = Support.continuous(-1.0, 2.0, n)
+    values = np.random.default_rng(n).random(n)
+    ref_nodes, ref_edges = np.empty(n), [0.0]
+    pos = 0
+    for j, q in enumerate(s.panel_sizes):
+        hw = 0.5 * (s.panel_edges[j + 1] - s.panel_edges[j])
+        chunk = values[pos : pos + q]
+        ref_nodes[pos : pos + q] = ref_edges[-1] + hw * (
+            _partial_integration_matrix(q) @ chunk
+        )
+        ref_edges.append(ref_edges[-1] + hw * float(_reference_rule(q)[1] @ chunk))
+        pos += q
+    at_nodes, at_edges = s.cumulative(values)
+    atol = 32 * np.finfo(np.float64).eps * ref_edges[-1]
+    np.testing.assert_allclose(at_nodes, ref_nodes, rtol=0, atol=atol)
+    np.testing.assert_allclose(at_edges, ref_edges, rtol=0, atol=atol)
 
 
 def test_cumulative_exact_for_panel_aligned_step():

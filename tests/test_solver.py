@@ -207,8 +207,9 @@ def test_solve_tabulates_each_constraint_at_most_twice(monkeypatch, solve, specs
     monkeypatch.setattr(ConstraintFunction, "tabulate", counted)
     sol = solve(Support.continuous(0.0, 5.0, 1024), specs)
     if solve is solve_interval:
-        # Two active-set passes: each pass adds one trace entry at its start.
-        assert len(sol.diagnostics.dual_trace) - sol.diagnostics.iterations == 2
+        # Three active-set passes (one bound is pinned per pass): each pass
+        # adds one trace entry at its start.
+        assert len(sol.diagnostics.dual_trace) - sol.diagnostics.iterations == 3
     # Once for the problem's feature matrix, once for the solution's own
     # reconstruction check.
     assert set(calls) == {spec.function for spec in specs}
@@ -361,6 +362,27 @@ def test_active_interval_multiplier_sign_is_consistent():
     )
     assert hi.diagnostics.active_bounds == ("hi",)
     assert hi.multipliers[0] > 0.0
+
+
+def test_bounds_pinned_together_need_not_be_jointly_attainable():
+    # From the uniform density all four lower bounds are violated, but
+    # pinning E[x] = 0.808 and E[x^2] = 0.6425 together asks for a negative
+    # variance.  Pinning the worst violation first finds the feasible set.
+    brackets = [
+        (0.8082667863234827, 0.8737501367884588),
+        (0.6425187916500261, 0.8434680151736358),
+        (0.6173155955437142, 0.7508804191694859),
+        (0.5647161882184031, 0.7127038976191468),
+    ]
+    specs = [
+        ConstraintSpec.interval(ConstraintFunction.power(k), lo, hi)
+        for k, (lo, hi) in enumerate(brackets, start=1)
+    ]
+    sol = solve_interval(Support.continuous(0.0, 1.0, 1024), specs)
+    assert sol.diagnostics.active_bounds == ("lo", "slack", "slack", "lo")
+    mom = moments(sol, [s.function for s in specs])
+    for m, (lo, hi) in zip(mom, brackets):
+        assert lo - 1e-8 <= m <= hi + 1e-8
 
 
 def test_interval_residuals_report_signed_violation_or_zero():

@@ -234,6 +234,38 @@ def test_two_assessments_snap_to_grid_edges():
         assert abs(got - want) / want < 6e-3
 
 
+@pytest.mark.parametrize(
+    "assessments",
+    [
+        [(0.5, 0.55)],
+        [(0.25, 0.5), (0.75, 0.8)],
+        [(0.2, 0.5), (0.4, 0.6)],
+        [(0.1, 0.3), (0.5, 0.6), (0.9, 0.95)],
+    ],
+)
+def test_small_density_steps_pass_the_curve_check(assessments):
+    # Small steps of a piecewise-constant density are valid utilities; the
+    # curve must pass through every assessed value at its snapped point.
+    s = Support.continuous(0.0, 1.0)
+    curve, _ = maxent_utility_from_assessments(s, assessments)
+    edges = curve.support.panel_edges
+    for x, v in assessments:
+        snapped = edges[np.argmin(np.abs(edges - x))]
+        assert curve.evaluate(snapped) == pytest.approx(v, abs=1e-6)
+
+
+def test_mean_with_indicator_passes_the_curve_check():
+    s = Support.continuous(0.0, 5.0)
+    specs = [
+        ConstraintSpec.equality(ConstraintFunction.power(1), 2.0),
+        ConstraintSpec.equality(ConstraintFunction.indicator(0.0, 1.0), 0.3),
+    ]
+    curve, sol = maxent_utility(s, specs)
+    assert s.integrate(sol.density * s.nodes) == pytest.approx(2.0, abs=1e-8)
+    assert s.integrate(sol.density * (s.nodes <= 1.0)) == pytest.approx(0.3, abs=1e-8)
+    assert curve.edge_curve[0] == 0.0 and curve.edge_curve[-1] == 1.0
+
+
 def test_flat_per_interval_beats_any_cell_split():
     # Brute force over densities that are constant on half-cells: mass 0.8
     # left of 0.5 split t/(1-t), mass 0.2 right split s/(1-s).  Entropy is
@@ -373,6 +405,15 @@ def test_curve_validation_rejects_mismatched_density():
             curve=np.asarray(good.curve) ** 3,
             edge_curve=None,
         )
+
+
+def test_curve_validation_rejects_a_slightly_scaled_curve():
+    # Scaled by 1 - 1e-6, the curve's slope is within 1e-6 of the density,
+    # but the curve is no longer the density's integral.
+    s = Support.continuous(0.0, 1.0, 256)
+    good = density_to_curve(np.ones(s.n), s)
+    with pytest.raises(ValidationError, match="cumulative integral"):
+        UtilityCurve(s, np.ones(s.n), np.asarray(good.curve) * (1.0 - 1e-6), None)
 
 
 def test_curve_knots_are_exact_at_panel_edges():

@@ -239,19 +239,18 @@ class ResultBundle:
     def table_text(self) -> str:
         s = self.solution
         n = s.support.n
-        u_col = [_fmt(v) for v in s.density]
-        if self.curve is not None:
-            curve_col = [_fmt(v) for v in self.curve.curve]
-        else:
-            curve_col = [""] * n
+
+        def column(values) -> list[str]:
+            return [_fmt(v) for v in values.tolist()]
+
+        curve_col = column(self.curve.curve) if self.curve is not None else [""] * n
         gamma_col = [""] * n
         if self.profile is not None:
-            for i, g in zip(self.profile.node_indices, self.profile.gamma):
-                gamma_col[int(i)] = _fmt(g)
-        rows = ["x,u,U,gamma"]
-        for i, x in enumerate(s.support.nodes):
-            rows.append(f"{_fmt(x)},{u_col[i]},{curve_col[i]},{gamma_col[i]}")
-        return "\n".join(rows) + "\n"
+            p = self.profile
+            for i, g in zip(p.node_indices.tolist(), column(p.gamma)):
+                gamma_col[i] = g
+        rows = zip(column(s.support.nodes), column(s.density), curve_col, gamma_col)
+        return "\n".join(["x,u,U,gamma", *map(",".join, rows)]) + "\n"
 
 
 def _setting(*values):

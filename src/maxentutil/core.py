@@ -184,32 +184,40 @@ class Support:
     def panel_edges(self) -> NDArray[np.float64]:
         return _readonly(np.linspace(self.a, self.b, len(self.panel_sizes) + 1))
 
+    def _panel_groups(self):
+        """Yield ``(q, panels, nodes)`` per run of q-node panels: slices of
+        the panel and node axes, so grid-wide work is one broadcast per
+        panel size (there are at most two) rather than a loop over panels."""
+        panel = node = 0
+        for q, group in itertools.groupby(self.panel_sizes):
+            count = len(list(group))
+            yield q, slice(panel, panel + count), slice(node, node + q * count)
+            panel += count
+            node += q * count
+
     @cached_property
     def nodes(self) -> NDArray[np.float64]:
-        """Quadrature abscissas, or the discrete points themselves."""
+        """Quadrature abscissas, or the discrete points themselves.  A panel
+        maps the reference nodes xi as ``mid + hw * xi`` (midpoint, half-width)."""
         if not self.is_continuous:
             return _readonly(np.asarray(self.points, dtype=np.float64))
         edges = self.panel_edges
-        parts = []
-        for j, q in enumerate(self.panel_sizes):
-            xi, _ = _reference_rule(q)
-            mid = 0.5 * (edges[j] + edges[j + 1])
-            hw = 0.5 * (edges[j + 1] - edges[j])
-            parts.append(mid + hw * xi)
-        return _readonly(np.concatenate(parts))
+        mid, hw = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+        return _readonly(np.concatenate([
+            (mid[p, None] + hw[p, None] * _reference_rule(q)[0]).ravel()
+            for q, p, _ in self._panel_groups()
+        ]))
 
     @cached_property
     def weights(self) -> NDArray[np.float64]:
-        """Quadrature weights; all ones on a discrete support."""
+        """Quadrature weights ``hw * w`` per panel; all ones when discrete."""
         if not self.is_continuous:
             return _readonly(np.ones(self.n))
-        edges = self.panel_edges
-        parts = []
-        for j, q in enumerate(self.panel_sizes):
-            _, w = _reference_rule(q)
-            hw = 0.5 * (edges[j + 1] - edges[j])
-            parts.append(hw * w)
-        return _readonly(np.concatenate(parts))
+        hw = 0.5 * np.diff(self.panel_edges)
+        return _readonly(np.concatenate([
+            (hw[p, None] * _reference_rule(q)[1]).ravel()
+            for q, p, _ in self._panel_groups()
+        ]))
 
     def integrate(self, values: NDArray[np.float64]) -> float:
         """Weighted sum of per-node values (a plain sum when discrete)."""
@@ -235,19 +243,11 @@ class Support:
         half_widths = 0.5 * np.diff(self.panel_edges)
         within = np.empty(self.n)
         masses = np.empty(len(sizes))
-        # Panels come in at most two sizes, so each size is one matmul over a
-        # (panels, nodes) block instead of a Python loop over panels.
-        node = panel = 0
-        for q, group in itertools.groupby(sizes):
-            count = len(list(group))
-            block = values[node : node + q * count].reshape(count, q)
-            hw = half_widths[panel : panel + count, None]
-            within[node : node + q * count] = (
-                hw * (block @ _partial_integration_matrix(q).T)
-            ).ravel()
-            masses[panel : panel + count] = hw[:, 0] * (block @ _reference_rule(q)[1])
-            node += q * count
-            panel += count
+        for q, panels, nodes in self._panel_groups():
+            block = values[nodes].reshape(-1, q)
+            hw = half_widths[panels, None]
+            within[nodes] = (hw * (block @ _partial_integration_matrix(q).T)).ravel()
+            masses[panels] = hw[:, 0] * (block @ _reference_rule(q)[1])
         at_edges = np.concatenate(([0.0], np.cumsum(masses)))
         at_nodes = within + np.repeat(at_edges[:-1], sizes)
         return at_nodes, at_edges

@@ -293,7 +293,7 @@ def _refined_support(
     while True:
         trial = Support.continuous(a, b, n)
         edges = trial.panel_edges
-        idx = np.array([int(np.argmin(np.abs(edges - x))) for x in xs])
+        idx = np.argmin(np.abs(edges[None, :] - xs[:, None]), axis=1)
         snapped = edges[idx]
         err = float(np.max(np.abs(snapped - xs)))
         interior = np.all(idx > 0) and np.all(idx < len(edges) - 1)

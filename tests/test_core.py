@@ -55,6 +55,36 @@ def test_cumulative_of_exponential_matches_closed_form(n):
     assert abs(at_edges[-1] - (np.exp(2.0) - 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "a, b, n",
+    [
+        (0.0, 1.0, 16),
+        (0.0, 1.0, 17),
+        (-1.0, 2.0, 128),
+        (0.0, 2.0, 1000),
+        (0.0, 5.0, 1024),
+        (-1.0, 2.0, 4099),
+        (0.1, 0.7, 5000),
+        (0.0, 5.0, 8192),
+    ],
+)
+def test_grid_matches_a_panel_by_panel_loop(a, b, n):
+    # Reference: map the reference rule onto each panel on its own.  The
+    # broadcast grid does the same arithmetic in the same order, so the two
+    # agree bit for bit.
+    s = Support.continuous(a, b, n)
+    edges = s.panel_edges
+    ref_nodes, ref_weights = [], []
+    for j, q in enumerate(s.panel_sizes):
+        xi, w = _reference_rule(q)
+        mid = 0.5 * (edges[j] + edges[j + 1])
+        hw = 0.5 * (edges[j + 1] - edges[j])
+        ref_nodes.append(mid + hw * xi)
+        ref_weights.append(hw * w)
+    assert np.array_equal(s.nodes, np.concatenate(ref_nodes))
+    assert np.array_equal(s.weights, np.concatenate(ref_weights))
+
+
 @pytest.mark.parametrize("n", [16, 100, 1000, 8192])
 def test_cumulative_matches_a_panel_by_panel_loop(n):
     # Reference: integrate each panel on its own and carry the running sum.

@@ -234,6 +234,21 @@ def test_two_assessments_snap_to_grid_edges():
         assert abs(got - want) / want < 6e-3
 
 
+def test_snapping_tie_goes_to_the_lower_edge():
+    # 128.5/256 lies halfway between two edges of the 8192-node grid, where
+    # refinement stops; the nearest-edge snap takes the lower one.
+    s = Support.continuous(0.0, 1.0, 1024)
+    curve, sol = maxent_utility_from_assessments(s, [(128.5 / 256, 0.4)])
+    assert curve.support.n == 8192
+    assert [c.function.upper for c in sol.constraints] == [0.5]
+    s = Support.continuous(0.0, 1.0, 128)
+    curve, sol = maxent_utility_from_assessments(
+        s, [(0.3, 0.4), (128.5 / 256, 0.6)]
+    )
+    assert curve.support.n == 8192
+    assert [c.function.upper for c in sol.constraints] == [0.30078125, 0.5]
+
+
 @pytest.mark.parametrize(
     "assessments",
     [

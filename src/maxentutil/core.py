@@ -68,7 +68,7 @@ class InfeasibleError(MaxentError):
 
 
 class ActiveSetCycleError(MaxentError):
-    """The interval solver revisited an active set without converging."""
+    """The interval solver's active-set loop ran past its pass limit."""
 
 
 def _readonly(a: NDArray, dtype: type = np.float64) -> NDArray:

@@ -20,16 +20,19 @@ tabulate; the solver calls it on the matrix its :class:`Problem` tabulates
 once per solve.
 
 There is one solve path.  An outer active-set loop handles interval targets
-lo <= E[h] <= hi: after each pass the one constraint whose moment violates
-a bound by the largest share of its attainable range enters the equality
-solve (bounds violated together need not be attainable together), and
-constraints leave it when their multiplier sign contradicts complementary
-slackness (a positive multiplier can only pin an upper bound, a negative
-one a lower bound).  With no interval constraints the loop makes a single
-pass.  Each pass runs damped Newton on D: full steps with an
-Armijo backtracking line search, a ridge and a steepest-descent fallback
-when the Hessian is ill-conditioned, and hard failure (rather than a quiet
-wrong answer) when targets are unattainable.
+lo <= E[h] <= hi: after each pass the one constraint whose moment misses a
+bound by more than tol, and by the largest share of its attainable range,
+enters the equality solve (bounds violated together need not be attainable
+together).  By complementary slackness a positive multiplier can only pin
+an upper bound and a negative one a lower bound: Newton projects onto those
+signs, and a bound whose multiplier ends at zero leaves the working set.
+
+Each pass runs damped Newton on D with an Armijo line search.  Every step
+is a Newton step on the Hessian scaled to a unit diagonal (plus a 1e-14
+ridge, factored by Cholesky), so no scaling of the constraint functions or
+their multipliers changes it.  Unattainable targets fail hard, not with a
+quiet wrong answer: their multipliers diverge until the density underflows
+at some node, which is checked after every accepted step.
 
 Newton works on the feature rows centered at their uniform-density means;
 the shift only moves log Z, and the reported log Z and density come from
@@ -38,6 +41,7 @@ the uncentered matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -77,36 +81,44 @@ __all__ = [
 
 DEFAULT_TOL_DISCRETE = 1e-9
 DEFAULT_TOL_CONTINUOUS = 1e-8
-MULTIPLIER_CAP = 1e4
 MAX_OUTER_PASSES = 50
+#: The multiplier sign that lets a pinned bound bind.
+_SIGN = {"lo": -1.0, "hi": 1.0}
 _ARMIJO_SLOPE = 1e-4
-#: The Armijo test forgives an increase of D this small, relative to
-#: max(1, |D|): near the optimum a full Newton step moves D by less than its
-#: rounding, and without the allowance the search halves the step to nothing.
+#: The Armijo test forgives an increase of D this small relative to the terms
+#: D sums (max(1, |D|, sum_j |m_j| max|h_j|)): near the optimum a Newton step
+#: moves D by less than its rounding, and the search would halve it to nothing.
 _ARMIJO_ROUNDING = 8.0 * np.finfo(np.float64).eps
-_RIDGE = 1e-10
-_COND_LIMIT = 1e12
+#: Added to the unit diagonal of the scaled Hessian, so that consistent but
+#: linearly dependent constraints still factor.
+_RIDGE = 1e-14
+_UNDERFLOW = (
+    "multipliers drive the density to zero at some nodes (floating-point underflow); "
+    "the targets are too near the attainable boundary, or not attainable together"
+)
+_SINGULAR = "the dual Hessian is singular; the problem is infeasible or unbounded"
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for the Newton iteration.
+    """Settings of the Newton iteration.
 
-    ``tol`` of None picks the per-kind default (1e-9 discrete, 1e-8
-    continuous) for the max-norm of the constraint residuals.
+    ``tol`` bounds the max-norm of the constraint residuals; None picks the
+    per-kind default (1e-9 discrete, 1e-8 continuous).  ``max_iter`` caps
+    the Newton steps of each active-set pass.
     """
 
     tol: float | None = None
     max_iter: int = 200
-    multiplier_cap: float = MULTIPLIER_CAP
 
     def __post_init__(self) -> None:
-        if self.tol is not None and not self.tol > 0.0:
-            raise ValidationError("tol must be positive")
+        if self.tol is not None and not 0.0 < self.tol < math.inf:
+            raise ValidationError("tol must be positive and finite")
+        n = self.max_iter
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValidationError("max_iter must be an integer")
         if self.max_iter < 1:
             raise ValidationError("max_iter must be at least 1")
-        if not self.multiplier_cap > 0.0:
-            raise ValidationError("multiplier_cap must be positive")
 
     def resolve_tol(self, support: Support) -> float:
         if self.tol is not None:
@@ -268,13 +280,19 @@ def _newton(
     w: NDArray[np.float64],
     b: NDArray[np.float64],
     lam0: NDArray[np.float64],
+    sign: NDArray[np.float64],
+    h_size: NDArray[np.float64],
     tol: float,
     max_iter: int,
-    cap: float,
 ) -> tuple[NDArray[np.float64], int, float, tuple[float, ...]]:
     """Damped Newton descent on D(lam) = log Z(lam) + lam . b from a warm
     start.  Returns the multipliers, the accepted steps, the final gradient
-    max-norm and D at the start and after every accepted step."""
+    max-norm and D at the start and after every accepted step.
+
+    A row with ``sign`` +1 (-1) keeps a nonnegative (nonpositive) multiplier:
+    trial points are projected onto the signs, and a row that its gradient
+    holds at zero takes no step until the gradient turns.  ``h_size`` is
+    max|H| per row, the scale of D's rounding."""
     m = H.shape[0]
     lam = np.array(lam0, dtype=np.float64)
     lz, p = _dual_kernel(H, w, lam)
@@ -282,31 +300,41 @@ def _newton(
     trace = [here]
     if m == 0:
         return lam, 0, 0.0, tuple(trace)
+    signed = bool(sign.any())
     for it in range(max_iter):
         wp = w * p
         mom = wp @ H.T
         g = b - mom
-        gnorm = float(np.max(np.abs(g)))
+        held = (lam == 0.0) & (sign * g > 0.0)
+        gnorm = float(abs(np.where(held, 0.0, g)).max())
         if gnorm <= tol:
             return lam, it, gnorm, tuple(trace)
-        hess = _covariance(H, wp, mom) + _RIDGE * np.eye(m)
-        direction = None
-        if np.all(np.isfinite(hess)) and np.linalg.cond(hess) <= _COND_LIMIT:
-            try:
-                direction = -np.linalg.solve(hess, g)
-            except np.linalg.LinAlgError:
-                direction = None
-        if direction is None or not np.all(np.isfinite(direction)):
-            direction = -g  # steepest descent on an ill-conditioned Hessian
-        slope = float(g @ direction)
-        allowance = _ARMIJO_ROUNDING * max(1.0, abs(here))
+        hess = _covariance(H, wp, mom)
+        var = hess.diagonal()
+        if not (var > 0.0).all():
+            raise InfeasibleError(_SINGULAR)
+        # Newton on the Hessian scaled to a unit diagonal: the scaling makes
+        # the ridge relative, so a multiplier of any size gets the same step.
+        # A held row scales to zero, which leaves it out of the step.
+        s = np.where(held, 0.0, 1.0 / np.sqrt(var))
+        scaled = hess * np.outer(s, s)
+        np.fill_diagonal(scaled, 1.0 + _RIDGE)
+        # With a few rows, products with the inverted factor beat two solves.
+        try:
+            inv = np.linalg.inv(np.linalg.cholesky(scaled))
+        except np.linalg.LinAlgError:
+            raise InfeasibleError(_SINGULAR) from None
+        direction = -s * (inv.T @ (inv @ (s * g)))
+        allowance = _ARMIJO_ROUNDING * max(1.0, abs(here), float(np.abs(lam) @ h_size))
         step = 1.0
         while True:
             trial = lam + step * direction
+            if signed:
+                trial[sign * trial < 0.0] = 0.0
             lz, p = _dual_kernel(H, w, trial)
             value = lz + float(trial @ b)
             # Written so that a NaN value is rejected too.
-            if value <= here + _ARMIJO_SLOPE * step * slope + allowance:
+            if value <= here + _ARMIJO_SLOPE * float(g @ (trial - lam)) + allowance:
                 break
             step *= 0.5
             if step < 1e-14:
@@ -315,11 +343,8 @@ def _newton(
                 )
         lam, here = trial, value
         trace.append(here)
-        if float(np.max(np.abs(lam))) > cap:
-            raise InfeasibleError(
-                f"multiplier magnitude exceeded {cap:g}; the problem is "
-                "infeasible or unbounded"
-            )
+        if not p.min() > 0.0:
+            raise InfeasibleError(_UNDERFLOW)
     raise InfeasibleError(
         f"no convergence to tolerance {tol:g} in {max_iter} iterations; "
         "the problem is infeasible or unbounded"
@@ -354,72 +379,51 @@ def _solve(problem: Problem, options: SolveOptions) -> MaxEntSolution:
 
     center = (H @ w) / float(w.sum())
     Hc = H - center[:, None]
+    hc_size = np.maximum(h_max - center, center - h_min)
     active: dict[int, str] = {}
     lam = np.zeros(len(specs))
-    seen: set[frozenset] = set()
     total_iters = 0
     trace: list[float] = []
-    gnorm = 0.0
 
     for _ in range(MAX_OUTER_PASSES):
         solve_ids = eq_ids + sorted(active)
+        # A pinned bound lies inside the attainable range: the moment it is
+        # missed by does, and the range check above holds the other side.
         targets = np.array(
             [
-                specs[i].equals
-                if specs[i].is_equality
-                else specs[i].bounds[0 if active[i] == "lo" else 1]
+                specs[i].bounds[active[i] == "hi"] if i in active else specs[i].equals
                 for i in solve_ids
-            ],
-            dtype=np.float64,
+            ]
         )
-        for i, t in zip(solve_ids, targets):
-            if not specs[i].is_equality:
-                _check_target_attainable(specs[i].function, H[i], float(t))
-
+        sign = np.array([_SIGN.get(active.get(i), 0.0) for i in solve_ids])
         sub, iters, gnorm, sub_trace = _newton(
             Hc[solve_ids], w, targets - center[solve_ids], lam[solve_ids],
-            tol, options.max_iter, options.multiplier_cap,
+            sign, hc_size[solve_ids], tol, options.max_iter,
         )
         total_iters += iters
         trace.extend(sub_trace)
-        lam[:] = 0.0
-        lam[solve_ids] = sub
+        lam[solve_ids] = sub  # a row outside the working set stays at zero
         if not int_ids:
             break
+        # A bound whose multiplier Newton held at zero does not bind.
+        for i in [i for i in active if lam[i] == 0.0]:
+            del active[i]
 
         _, p = _dual_kernel(H, w, lam)
         moment = (w * p) @ H.T
-        changed = False
         worst, worst_share = None, 0.0
         for i in int_ids:
             lo, hi = specs[i].bounds
-            if i not in active:
-                gap = max(lo - moment[i], moment[i] - hi)
-                # A constant row has no range, but it never violates a
-                # bracket that passed the range check above.
-                share = gap / (h_max[i] - h_min[i]) if gap > 0.0 else 0.0
-                if share > worst_share:
-                    worst, worst_share = i, share
-            elif lo < hi:
-                # Complementary slackness: the sign of the multiplier says
-                # which bound it is allowed to pin.
-                if active[i] == "lo" and lam[i] > 0.0:
-                    del active[i]
-                    changed = True
-                elif active[i] == "hi" and lam[i] < 0.0:
-                    del active[i]
-                    changed = True
-        if worst is not None:
-            active[worst] = "lo" if moment[worst] < specs[worst].bounds[0] else "hi"
-            changed = True
-        if not changed:
+            gap = max(lo - moment[i], moment[i] - hi)
+            # A bracket missed by no more than tol is met (the final check
+            # allows as much).  A constant row has no range, but it never
+            # violates a bracket that passed the range check above.
+            share = gap / (h_max[i] - h_min[i]) if gap > tol else 0.0
+            if i not in active and share > worst_share:
+                worst, worst_share = i, share
+        if worst is None:
             break
-        config = frozenset(active.items())
-        if config in seen:
-            raise ActiveSetCycleError(
-                "active-set cycle: the same working set recurred without convergence"
-            )
-        seen.add(config)
+        active[worst] = "lo" if moment[worst] < specs[worst].bounds[0] else "hi"
     else:
         raise ActiveSetCycleError(
             f"active-set loop exceeded {MAX_OUTER_PASSES} outer passes"
@@ -427,15 +431,8 @@ def _solve(problem: Problem, options: SolveOptions) -> MaxEntSolution:
 
     lz, _ = _dual_kernel(H, w, lam)
     density = _exponential_density(H, lam, lz)
-    # exp(-log Z - m . h) is positive in exact arithmetic, but a target close
-    # enough to the attainable boundary needs multipliers so large that the
-    # density underflows to zero at the far nodes.
     if not np.all(density > 0.0):
-        raise InfeasibleError(
-            "multipliers drive the density to zero at some nodes (floating-"
-            "point underflow); the target is too close to the attainable "
-            "boundary to represent"
-        )
+        raise InfeasibleError(_UNDERFLOW)
     moment = (w * density) @ H.T
     residuals = []
     labels = []
@@ -499,10 +496,11 @@ def solve_interval(
 
     Equality constraints may be mixed in; they stay pinned throughout.
     Interval constraints start slack; each outer pass pins one bound, the
-    one violated by the largest share of its function's attainable range,
-    and releases every active constraint whose multiplier sign contradicts
-    complementary slackness.  Revisiting a previously seen active set
-    (or running past 50 outer passes) raises ActiveSetCycleError.  With
+    one violated (by more than the tolerance) by the largest share of its
+    function's attainable range.  Newton keeps each pinned multiplier on
+    the sign complementary slackness allows, and a bound whose multiplier
+    ends at zero is released.  Running past 50 outer passes raises
+    ActiveSetCycleError.  With
     equality constraints only, this is the same solve as
     :func:`solve_equality`.
     """

@@ -158,6 +158,10 @@ def test_tol_flag_is_honored():
         ("tol = 1e-3", ["--tol", "0"], "tol must be positive"),
         ("max_iter = 0", [], "max_iter must be at least 1"),
         ("max_iter = 50", ["--max-iter", "0"], "max_iter must be at least 1"),
+        ("tol = inf", [], "tol must be positive and finite"),
+        ("tol = 1e-3", ["--tol", "inf"], "tol must be positive and finite"),
+        ("tol = nan", [], "tol must be positive and finite"),
+        ("max_iter = 2.5", [], "max_iter expects an integer"),
     ],
 )
 def test_zero_settings_reach_the_validators(
@@ -211,6 +215,23 @@ def test_infeasible_target_exits_two():
     assert res.returncode == 2
     assert "error:" in res.stderr
     assert "attainable" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "support_line",
+    ["domain = 0 1", "points = " + " ".join(map(str, np.linspace(0.0, 1.0, 16)))],
+)
+def test_jointly_unattainable_targets_exit_two(tmp_path, capsys, support_line):
+    # E[x] = 0.9 with E[x^2] = 0.5 asks for a negative variance.
+    spec = tmp_path / "joint.spec"
+    spec.write_text(
+        f"{support_line}\nconstraint = power 1 eq 0.9\n"
+        "constraint = power 2 eq 0.5\n"
+    )
+    assert main(["solve", str(spec)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "underflow" in err
 
 
 def test_missing_spec_file_exits_one():

@@ -28,9 +28,17 @@ from maxentutil.solver import (
 # the quadrature-free moment equation.  Recomputed live in the oracle test.
 CARA_LAMBDA = 0.960201509944503
 
+# E[x^4] on [0, 0.1] under a density proportional to exp(-30 x), by
+# adaptive quadrature.
+POWER4_TARGET = 5.760479005835254e-06
+
+
+def _power_spec(k: int, value: float) -> ConstraintSpec:
+    return ConstraintSpec.equality(ConstraintFunction.power(k), value)
+
 
 def _mean_spec(value: float) -> ConstraintSpec:
-    return ConstraintSpec.equality(ConstraintFunction.power(1), value)
+    return _power_spec(1, value)
 
 
 # ------------------------------------------------------------ log partition
@@ -136,48 +144,126 @@ def test_dual_trace_is_monotone_nonincreasing():
     assert np.all(np.diff(trace) <= 1e-12)
 
 
+def _powers(targets):
+    """{k: target} for E[x^k] = target, k = 1, 2, ..."""
+    return dict(enumerate(targets, start=1))
+
+
 @pytest.mark.parametrize(
     "support, targets",
     [
         # E[x], E[x^2] on [0, 2]; the Hessian's condition number is 119.
-        (Support.continuous(0.0, 2.0, 128), [1.1220040211442108, 1.5990287920780002]),
+        (
+            Support.continuous(0.0, 2.0, 128),
+            _powers([1.1220040211442108, 1.5990287920780002]),
+        ),
         # Powers 1..5 on [0, 5].
         (
             Support.continuous(0.0, 5.0, 128),
-            [
-                1.2643997555282347,
-                2.451480623316138,
-                5.833089815182364,
-                15.760782065949963,
-                46.57189763952141,
-            ],
+            _powers(
+                [
+                    1.2643997555282347,
+                    2.451480623316138,
+                    5.833089815182364,
+                    15.760782065949963,
+                    46.57189763952141,
+                ]
+            ),
         ),
         # Powers 1..5 on [0, 2], the moments of a random positive density.
         (
             Support.continuous(0.0, 2.0, 128),
-            [
-                1.0837462919586134,
-                1.521041329224289,
-                2.3575341986704674,
-                3.8567357996228337,
-                6.530017796476205,
-            ],
+            _powers(
+                [
+                    1.0837462919586134,
+                    1.521041329224289,
+                    2.3575341986704674,
+                    3.8567357996228337,
+                    6.530017796476205,
+                ]
+            ),
         ),
+        # Powers 1..8 on [0, 5] just off the uniform moments: the unscaled
+        # Hessian's condition number is far above 1e12.
+        (
+            Support.continuous(0.0, 5.0, 128),
+            _powers([5.0**d / (d + 1) * 1.0001 for d in range(1, 9)]),
+        ),
+        # E[x^4] on [0, 0.1] under a density proportional to exp(-30 x): the
+        # multiplier is about 4.2e4 (see the oracle test below).
+        (Support.continuous(0.0, 0.1, 128), {4: POWER4_TARGET}),
     ],
 )
 def test_newton_converges_at_the_rounding_floor_of_the_dual(support, targets):
     # Near the optimum a full Newton step changes the dual by less than its
     # rounding error; the line search must accept it instead of halving the
     # step to nothing and running out of iterations.
-    specs = [
-        ConstraintSpec.equality(ConstraintFunction.power(k), t)
-        for k, t in enumerate(targets, start=1)
-    ]
+    specs = [_power_spec(k, t) for k, t in targets.items()]
     sol = solve_equality(support, specs)
     assert sol.diagnostics.grad_max_norm <= 1e-8
-    for k, t in enumerate(targets, start=1):
+    for k, t in targets.items():
         got = support.integrate(sol.density * support.nodes**k)
         assert abs(got - t) <= 1e-8 * max(1.0, t)
+
+
+def test_large_multiplier_against_quadrature_oracle():
+    # Power k on [0, b] has a multiplier that grows like b^-k: no bound on
+    # its size may stand in for a divergence test.
+    def fourth_moment(lam: float) -> float:
+        z, _ = quad(lambda x: math.exp(-lam * x**4), 0.0, 0.1, epsabs=0.0)
+        m, _ = quad(lambda x: x**4 * math.exp(-lam * x**4), 0.0, 0.1, epsabs=0.0)
+        return m / z
+
+    oracle = bisect(
+        lambda lam: fourth_moment(lam) - POWER4_TARGET, 3e4, 6e4, xtol=1e-8
+    )
+    spec = _power_spec(4, POWER4_TARGET)
+    # The target is 6e-6, so the default absolute tolerance would leave the
+    # multiplier loose by 1e-3 relative.
+    sol = solve_equality(
+        Support.continuous(0.0, 0.1, 128), [spec], SolveOptions(tol=1e-16)
+    )
+    assert sol.multipliers[0] == pytest.approx(oracle, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "support, specs, density",
+    [
+        # On {0, 1}, x and x^2 are the same function.
+        (
+            Support.discrete([0.0, 1.0]),
+            [_mean_spec(0.3), _power_spec(2, 0.3)],
+            [0.7, 0.3],
+        ),
+        # One constraint given twice.
+        (Support.continuous(0.0, 1.0, 1024), [_mean_spec(0.3)] * 2, None),
+    ],
+)
+def test_consistent_dependent_constraints_converge(support, specs, density):
+    # The Hessian is singular; the ridge keeps it factorable, and the step
+    # along its null space is harmless because the gradient has none.
+    sol = solve_equality(support, specs)
+    once = solve_equality(support, specs[:1])
+    assert sol.diagnostics.iterations <= 6
+    assert np.max(np.abs(sol.diagnostics.residuals)) <= 1e-9
+    assert np.max(np.abs(sol.density - once.density)) <= 1e-9 * np.max(once.density)
+    if density is not None:
+        assert np.max(np.abs(sol.density - density)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "support",
+    [
+        Support.continuous(0.0, 1.0, 1024),
+        Support.discrete(list(np.linspace(0.0, 1.0, 16))),
+    ],
+)
+def test_jointly_unattainable_targets_underflow(support):
+    # Each target lies inside its own range, but E[x] = 0.9 with
+    # E[x^2] = 0.5 asks for a negative variance.
+    specs = [_mean_spec(0.9), _power_spec(2, 0.5)]
+    with pytest.raises(InfeasibleError, match="underflow"):
+        solve_equality(support, specs)
 
 
 @pytest.mark.parametrize(
@@ -287,8 +373,8 @@ def test_constant_constraint_function_is_infeasible():
 
 
 def test_barely_attainable_target_fails_loudly():
-    # Inside the open node range but so close to the edge that multipliers
-    # blow past the cap: must raise, not return garbage.
+    # Inside the open node range but so close to the edge that the density
+    # underflows at the far nodes: must raise, not return garbage.
     s = Support.continuous(0.0, 1.0, 64)
     lowest = float(np.min(s.nodes))
     with pytest.raises(InfeasibleError):
@@ -385,6 +471,30 @@ def test_bounds_pinned_together_need_not_be_jointly_attainable():
         assert lo - 1e-8 <= m <= hi + 1e-8
 
 
+def test_a_pinned_bound_that_stops_binding_is_released():
+    # E[x^2] >= 17.2 is the worst violation at the uniform density and is
+    # pinned first; E[x] >= 4.2 is pinned next, and the two together ask for
+    # a negative variance.  Newton keeps the first multiplier nonpositive,
+    # drives it to zero, and the bound is released.
+    specs = [
+        ConstraintSpec.interval(ConstraintFunction.power(1), 4.2, 4.5),
+        ConstraintSpec.interval(ConstraintFunction.power(2), 17.2, 21.5),
+    ]
+    sol = solve_interval(Support.continuous(0.0, 5.0, 1024), specs)
+    assert sol.diagnostics.active_bounds == ("lo", "slack")
+    assert sol.multipliers[0] < 0.0 and sol.multipliers[1] == 0.0
+    mom = moments(sol, [s.function for s in specs])
+    assert abs(mom[0] - 4.2) <= 1e-8
+    assert 17.2 <= mom[1] <= 21.5
+
+
+def test_bracket_missed_within_tol_stays_slack():
+    spec = ConstraintSpec.interval(ConstraintFunction.power(1), 0.4, 0.5 - 1e-10)
+    sol = solve_interval(Support.discrete([0.0, 1.0]), [spec])
+    assert sol.diagnostics.active_bounds == ("slack",)
+    assert sol.multipliers[0] == 0.0
+
+
 def test_interval_residuals_report_signed_violation_or_zero():
     spec = ConstraintSpec.interval(ConstraintFunction.power(1), 0.7, 0.9)
     sol = solve_interval(Support.discrete([0.0, 1.0]), [spec])
@@ -414,3 +524,9 @@ def test_solver_options_validate():
         SolveOptions(tol=-1.0)
     with pytest.raises(ValidationError):
         SolveOptions(max_iter=0)
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="tol must be positive and finite"):
+            SolveOptions(tol=tol)
+    for max_iter in (2.5, True):
+        with pytest.raises(ValidationError, match="max_iter must be an integer"):
+            SolveOptions(max_iter=max_iter)

@@ -13,7 +13,8 @@ repeat one per line:
 Assessed utility points use `assessment = x v` lines instead; a spec that
 mixes constraints and assessments is rejected.  `tol`, `max_iter`, `base`
 (natural or base2) and `out` may be set in the file and are overridden by
-the corresponding command-line flags.
+the corresponding command-line flags.  Only `constraint` and `assessment`
+lines repeat; any other key given twice is an error.
 
 Exit status: 0 on convergence, 1 for parse or validation problems, 2 when
 the problem is infeasible.  All numbers are printed with `%.17g`, so the
@@ -56,6 +57,8 @@ from .utility import (
 __all__ = ["main", "cmd_solve", "cmd_entropy", "parse_spec_file", "ResultBundle"]
 
 _UNIT = {"natural": "nats", "base2": "bits"}
+#: Spec keys that may appear at most once.
+_ONCE = ("domain", "points", "nodes", "tol", "max_iter", "base", "out")
 
 
 def _fmt(v: float) -> str:
@@ -151,17 +154,15 @@ def parse_spec_file(path: str) -> SpecFile:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         tokens = value.split()
+        if key in _ONCE and getattr(spec, key) is not None:
+            _fail(lineno, f"{key} already set")
 
         if key == "domain":
-            if spec.domain is not None:
-                _fail(lineno, "domain already set")
             if len(tokens) != 2:
                 _fail(lineno, "domain takes two endpoints")
             a, b = _floats(tokens, lineno, "domain")
             spec.domain = (a, b)
         elif key == "points":
-            if spec.points is not None:
-                _fail(lineno, "points already set")
             spec.points = tuple(_floats(tokens, lineno, "points"))
         elif key == "nodes":
             try:

@@ -474,6 +474,8 @@ class SolverDiagnostics:
             constraint this is the signed distance outside its bounds
             (0.0 when satisfied).
         active_bounds: per constraint, one of "eq", "lo", "hi", "slack".
+        atoms: columns Newton ran on: runs of nodes with equal feature
+            columns, each merged into one (the node count when none merge).
         dual_trace: dual objective after each accepted step.
     """
 
@@ -481,6 +483,7 @@ class SolverDiagnostics:
     grad_max_norm: float
     residuals: tuple[float, ...]
     active_bounds: tuple[str, ...]
+    atoms: int
     dual_trace: tuple[float, ...] = field(default=(), repr=False)
 
 

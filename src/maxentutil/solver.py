@@ -37,6 +37,12 @@ at some node, which is checked after every accepted step.
 Newton works on the feature rows centered at their uniform-density means;
 the shift only moves log Z, and the reported log Z and density come from
 the uncentered matrix.
+
+Nodes with equal feature columns have equal density, so Newton and the
+active-set check run on atoms: each run of equal adjacent columns becomes
+one column carrying the run's summed weight (an assessed utility on 8192
+nodes has K+1 atoms, one per cell between its K points), while the final
+log Z, density, residuals and entropy are evaluated on the full grid.
 """
 
 from __future__ import annotations
@@ -351,6 +357,18 @@ def _newton(
     )
 
 
+def _atom_starts(H: NDArray[np.float64]) -> NDArray[np.intp] | None:
+    """First column of each run of equal adjacent columns of H, or None when
+    every adjacent pair differs.  The rows are compared one at a time, so a
+    row that separates every pair (a power of the nodes) ends the search."""
+    differs = np.zeros(H.shape[1] - 1, dtype=bool)
+    for row in H:
+        differs |= row[1:] != row[:-1]
+        if differs.all():
+            return None
+    return np.flatnonzero(np.concatenate(([True], differs)))
+
+
 def _entropy_of(support: Support, density: NDArray[np.float64]) -> float:
     if support.is_continuous:
         return differential_entropy(density, support).value
@@ -377,8 +395,12 @@ def _solve(problem: Problem, options: SolveOptions) -> MaxEntSolution:
                 f"({h_min[i]:g}, {h_max[i]:g})"
             )
 
-    center = (H @ w) / float(w.sum())
-    Hc = H - center[:, None]
+    # Newton and the active-set check run on the atoms; with none to merge
+    # they get the grid's own arrays.
+    starts = _atom_starts(H)
+    Ha, wa = (H, w) if starts is None else (H[:, starts], np.add.reduceat(w, starts))
+    center = (Ha @ wa) / float(wa.sum())
+    Hc = Ha - center[:, None]
     hc_size = np.maximum(h_max - center, center - h_min)
     active: dict[int, str] = {}
     lam = np.zeros(len(specs))
@@ -397,7 +419,7 @@ def _solve(problem: Problem, options: SolveOptions) -> MaxEntSolution:
         )
         sign = np.array([_SIGN.get(active.get(i), 0.0) for i in solve_ids])
         sub, iters, gnorm, sub_trace = _newton(
-            Hc[solve_ids], w, targets - center[solve_ids], lam[solve_ids],
+            Hc[solve_ids], wa, targets - center[solve_ids], lam[solve_ids],
             sign, hc_size[solve_ids], tol, options.max_iter,
         )
         total_iters += iters
@@ -409,8 +431,8 @@ def _solve(problem: Problem, options: SolveOptions) -> MaxEntSolution:
         for i in [i for i in active if lam[i] == 0.0]:
             del active[i]
 
-        _, p = _dual_kernel(H, w, lam)
-        moment = (w * p) @ H.T
+        _, p = _dual_kernel(Ha, wa, lam)
+        moment = (wa * p) @ Ha.T
         worst, worst_share = None, 0.0
         for i in int_ids:
             lo, hi = specs[i].bounds
@@ -457,6 +479,7 @@ def _solve(problem: Problem, options: SolveOptions) -> MaxEntSolution:
         grad_max_norm=gnorm,
         residuals=tuple(float(r) for r in residuals),
         active_bounds=tuple(labels),
+        atoms=Ha.shape[1],
         dual_trace=tuple(trace),
     )
     return MaxEntSolution(

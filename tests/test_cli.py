@@ -174,6 +174,26 @@ def test_zero_settings_reach_the_validators(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, first, second",
+    [
+        ("nodes", "128", "256"),
+        ("tol", "1e-8", "1e-6"),
+        ("max_iter", "50", "100"),
+        ("base", "natural", "base2"),
+        ("out", "a.csv", "b.csv"),
+    ],
+)
+def test_repeated_setting_fails_with_line_number(tmp_path, capsys, key, first, second):
+    spec = tmp_path / "twice.spec"
+    lines = ["domain = 0 5", f"{key} = {first}", "constraint = power 1 eq 1.0"]
+    spec.write_text("\n".join([*lines, f"{key} = {second}"]) + "\n")
+    assert main(["solve", str(spec)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"line 4: {key} already set" in err
+
+
 # ------------------------------------------------------------------ entropy
 
 def test_entropy_of_solved_spec_matches_golden():

@@ -255,6 +255,7 @@ def _diag(m: int) -> SolverDiagnostics:
         grad_max_norm=0.0,
         residuals=(0.0,) * m,
         active_bounds=("eq",) * m,
+        atoms=1,  # with no constraints every node is in one run
     )
 
 

@@ -11,9 +11,12 @@ from maxentutil.core import (
     ConstraintSpec,
     InfeasibleError,
     Support,
+    validate_problem,
 )
 from maxentutil.solver import (
+    _SIGN,
     SolveOptions,
+    _newton,
     dual_gradient,
     dual_hessian,
     dual_state,
@@ -23,6 +26,7 @@ from maxentutil.solver import (
     solve_equality,
     solve_interval,
 )
+from maxentutil.utility import maxent_utility_from_assessments
 
 # lambda* for the mean-1 exponential family on [0, 5], found by bisection on
 # the quadrature-free moment equation.  Recomputed live in the oracle test.
@@ -300,6 +304,88 @@ def test_solve_tabulates_each_constraint_at_most_twice(monkeypatch, solve, specs
     # reconstruction check.
     assert set(calls) == {spec.function for spec in specs}
     assert max(calls.values()) <= 2
+
+
+# -------------------------------------------------------------------- atoms
+
+def _full_grid_multipliers(sol):
+    """The multipliers `_newton` reaches on the full centered grid (Hc, w)
+    from zero, for the working set the solve ended with."""
+    H = validate_problem(sol.support, sol.constraints).features
+    w = sol.support.weights
+    center = (H @ w) / float(w.sum())
+    Hc = H - center[:, None]
+    labels, specs = sol.diagnostics.active_bounds, sol.constraints
+    ids = [i for i, label in enumerate(labels) if label != "slack"]
+    targets = np.array(
+        [
+            specs[i].equals if labels[i] == "eq" else specs[i].bounds[labels[i] == "hi"]
+            for i in ids
+        ]
+    )
+    sign = np.array([_SIGN.get(labels[i], 0.0) for i in ids])
+    lam = np.zeros(len(specs))
+    lam[ids] = _newton(
+        Hc[ids], w, targets - center[ids], np.zeros(len(ids)), sign,
+        np.abs(Hc[ids]).max(axis=1), SolveOptions().resolve_tol(sol.support), 200,
+    )[0]
+    return lam
+
+
+def _indicator_spec(lo: float, hi: float, value: float) -> ConstraintSpec:
+    return ConstraintSpec.equality(ConstraintFunction.indicator(lo, hi), value)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 6])
+def test_assessed_utility_solves_on_one_atom_per_cell(k):
+    xs = [0.1, 0.23, 0.37, 0.52, 0.68, 0.85][:k]
+    vs = [(j + 1) / (k + 1) for j in range(k)]
+    support = Support.continuous(0.0, 1.0)
+    _, sol = maxent_utility_from_assessments(support, list(zip(xs, vs)))
+    assert sol.support.n == 8192
+    assert sol.diagnostics.atoms == k + 1
+    np.testing.assert_allclose(sol.multipliers, _full_grid_multipliers(sol), rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "support, specs, atoms",
+    [
+        # The zero runs on either side of the indicator stay apart.
+        (Support.continuous(0.0, 1.0), [_indicator_spec(0.2, 0.5, 0.5)], 3),
+        (Support.discrete(list(range(10))), [_indicator_spec(2.0, 5.0, 0.7)], 3),
+        # Brackets pinned and left slack by the active-set check on atoms.
+        (
+            Support.continuous(0.0, 1.0),
+            [
+                ConstraintSpec.interval(ConstraintFunction.indicator(lo, hi), *bounds)
+                for lo, hi, bounds in [(0.2, 0.5, (0.5, 0.6)), (0.6, 0.9, (0.1, 0.5))]
+            ],
+            5,
+        ),
+        # A power row separates every node: nothing merges.
+        (
+            Support.continuous(0.0, 5.0),
+            [_mean_spec(2.0), _indicator_spec(0.0, 1.0, 0.3)],
+            1024,
+        ),
+    ],
+)
+def test_newton_on_atoms_matches_the_full_grid(support, specs, atoms):
+    sol = solve_interval(support, specs)
+    assert sol.diagnostics.atoms == atoms
+    np.testing.assert_allclose(sol.multipliers, _full_grid_multipliers(sol), rtol=1e-12)
+
+
+def test_an_indicator_given_twice_matches_the_full_grid():
+    # Only the sum of the two multipliers is determined: rounding splits it
+    # differently on atoms and on the full grid.
+    spec = _indicator_spec(0.2, 0.5, 0.5)
+    sol = solve_equality(Support.continuous(0.0, 1.0), [spec, spec])
+    assert sol.diagnostics.atoms == 3
+    total = sol.multipliers.sum()
+    assert total == pytest.approx(_full_grid_multipliers(sol).sum(), rel=1e-12)
+    once = solve_equality(sol.support, [spec]).multipliers[0]
+    assert total == pytest.approx(once, rel=1e-12)
 
 
 # ---------------------------------------------------------------- dual maps

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    ActiveSetCycleError,
     ConstraintFunction,
     ConstraintSpec,
     InfeasibleError,
@@ -50,7 +49,7 @@ from .solver import SolveOptions, solve_interval
 from .utility import (
     UtilityCurve,
     classify_family,
-    density_to_curve,
+    maxent_utility,
     maxent_utility_from_assessments,
 )
 
@@ -272,17 +271,15 @@ def _solve_spec(spec: SpecFile, args: argparse.Namespace) -> ResultBundle:
     )
     base = "base2" if getattr(args, "base2", False) else (spec.base or "natural")
 
+    curve = None
     if spec.assessments:
         curve, solution = maxent_utility_from_assessments(
             support, spec.assessments, options
         )
+    elif support.is_continuous:
+        curve, solution = maxent_utility(support, spec.constraints, options)
     else:
         solution = solve_interval(support, spec.constraints, options)
-        curve = (
-            density_to_curve(solution.density, support)
-            if support.is_continuous
-            else None
-        )
     family = classify_family(solution.constraints)
 
     profile = None
@@ -368,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InfeasibleError, ActiveSetCycleError) as exc:
+    except InfeasibleError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except MaxentError as exc:

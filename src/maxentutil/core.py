@@ -68,7 +68,8 @@ class InfeasibleError(MaxentError):
 
 
 class ActiveSetCycleError(MaxentError):
-    """The interval solver's active-set loop ran past its pass limit."""
+    """Kept for callers that catch it: no solver path raises it since the
+    interval solve became one Newton run."""
 
 
 def _readonly(a: NDArray, dtype: type = np.float64) -> NDArray:
@@ -468,15 +469,18 @@ class SolverDiagnostics:
     """What the solver did and how well the targets were met.
 
     Attributes:
-        iterations: accepted Newton steps (summed over outer passes).
+        iterations: accepted Newton steps of the solve.
         grad_max_norm: max-norm of the final dual gradient.
         residuals: signed per-constraint residuals; for an interval
             constraint this is the signed distance outside its bounds
             (0.0 when satisfied).
-        active_bounds: per constraint, one of "eq", "lo", "hi", "slack".
+        active_bounds: per constraint, one of "eq", "lo", "hi", "slack";
+            a bracket's label is its multiplier's sign (negative "lo",
+            positive "hi", zero "slack").
         atoms: columns Newton ran on: runs of nodes with equal feature
             columns, each merged into one (the node count when none merge).
-        dual_trace: dual objective after each accepted step.
+        dual_trace: dual objective at the start and after each accepted
+            step, so it has iterations + 1 entries.
     """
 
     iterations: int

@@ -19,30 +19,35 @@ exponents do not overflow.  The public dual maps call it on a matrix they
 tabulate; the solver calls it on the matrix its :class:`Problem` tabulates
 once per solve.
 
-There is one solve path.  An outer active-set loop handles interval targets
-lo <= E[h] <= hi: after each pass the one constraint whose moment misses a
-bound by more than tol, and by the largest share of its attainable range,
-enters the equality solve (bounds violated together need not be attainable
-together).  By complementary slackness a positive multiplier can only pin
-an upper bound and a negative one a lower bound: Newton projects onto those
-signs, and a bound whose multiplier ends at zero leaves the working set.
+There is one solve path, and it also takes interval targets
+lo <= E[h] <= hi.  Their dual is one convex function,
 
-Each pass runs damped Newton on D with an Armijo line search.  Every step
-is a Newton step on the Hessian scaled to a unit diagonal (plus a 1e-14
-ridge, factored by Cholesky), so no scaling of the constraint functions or
-their multipliers changes it.  Unattainable targets fail hard, not with a
-quiet wrong answer: their multipliers diverge until the density underflows
-at some node, which is checked after every accepted step.
+    D(m) = log Z(m) + sum_j max(m_j lo_j, m_j hi_j),
+
+smooth wherever no multiplier is zero; an equality is the bracket with
+lo == hi.  By complementary slackness a positive multiplier pins an upper
+bound and a negative one a lower bound, and a zero one leaves its bracket
+slack.  One damped Newton run from zero minimizes D: a bracket row at zero
+whose moment lies inside its bracket, or whose Newton step would leave the
+side its violated bound names, is held at zero for that step, and a step
+that would carry a multiplier across zero stops on it (a ratio test).
+
+Every step is a Newton step on the Hessian scaled to a unit diagonal (plus
+a 1e-14 ridge, factored by Cholesky), so no scaling of the constraint
+functions or their multipliers changes it, and an Armijo line search damps
+it.  Unattainable targets fail hard, not with a quiet wrong answer: their
+multipliers diverge until the density underflows at some node, which is
+checked after every accepted step.
 
 Newton works on the feature rows centered at their uniform-density means;
 the shift only moves log Z, and the reported log Z and density come from
 the uncentered matrix.
 
-Nodes with equal feature columns have equal density, so Newton and the
-active-set check run on atoms: each run of equal adjacent columns becomes
-one column carrying the run's summed weight (an assessed utility on 8192
-nodes has K+1 atoms, one per cell between its K points), while the final
-log Z, density, residuals and entropy are evaluated on the full grid.
+Nodes with equal feature columns have equal density, so Newton runs on
+atoms: each run of equal adjacent columns becomes one column carrying the
+run's summed weight (an assessed utility on 8192 nodes has K+1 atoms, one
+per cell between its K points), while the final log Z, density, residuals
+and entropy are evaluated on the full grid.
 """
 
 from __future__ import annotations
@@ -58,7 +63,6 @@ from .core import (
     ConstraintFunction,
     ConstraintSpec,
     InfeasibleError,
-    ActiveSetCycleError,
     MaxEntSolution,
     Problem,
     SolverDiagnostics,
@@ -87,9 +91,6 @@ __all__ = [
 
 DEFAULT_TOL_DISCRETE = 1e-9
 DEFAULT_TOL_CONTINUOUS = 1e-8
-MAX_OUTER_PASSES = 50
-#: The multiplier sign that lets a pinned bound bind.
-_SIGN = {"lo": -1.0, "hi": 1.0}
 _ARMIJO_SLOPE = 1e-4
 #: The Armijo test forgives an increase of D this small relative to the terms
 #: D sums (max(1, |D|, sum_j |m_j| max|h_j|)): near the optimum a Newton step
@@ -111,7 +112,7 @@ class SolveOptions:
 
     ``tol`` bounds the max-norm of the constraint residuals; None picks the
     per-kind default (1e-9 discrete, 1e-8 continuous).  ``max_iter`` caps
-    the Newton steps of each active-set pass.
+    the Newton steps of the whole solve.
     """
 
     tol: float | None = None
@@ -284,66 +285,108 @@ def _check_target_attainable(
 def _newton(
     H: NDArray[np.float64],
     w: NDArray[np.float64],
-    b: NDArray[np.float64],
+    lo: NDArray[np.float64],
+    hi: NDArray[np.float64],
     lam0: NDArray[np.float64],
-    sign: NDArray[np.float64],
     h_size: NDArray[np.float64],
     tol: float,
     max_iter: int,
 ) -> tuple[NDArray[np.float64], int, float, tuple[float, ...]]:
-    """Damped Newton descent on D(lam) = log Z(lam) + lam . b from a warm
-    start.  Returns the multipliers, the accepted steps, the final gradient
-    max-norm and D at the start and after every accepted step.
+    """Damped Newton descent on the bracket dual
+    D(lam) = log Z(lam) + sum_j max(lam_j lo_j, lam_j hi_j) from ``lam0``.
+    Returns the multipliers, the accepted steps, the final gradient max-norm
+    and D at the start and after every accepted step.
 
-    A row with ``sign`` +1 (-1) keeps a nonnegative (nonpositive) multiplier:
-    trial points are projected onto the signs, and a row that its gradient
-    holds at zero takes no step until the gradient turns.  ``h_size`` is
-    max|H| per row, the scale of D's rounding."""
+    A row with lo < hi is a bracket.  Its target is the bound its
+    multiplier's sign names (hi if positive, lo if negative); at zero it is
+    the bound its moment violates, or the moment itself, which holds the row
+    at zero.  A row at zero whose Newton step would leave its target's side
+    is held too, and the step is recomputed without it.  The first trial
+    stops where a multiplier first reaches zero and sets it to exactly 0, so
+    every trial lies on the Newton direction.  A row with lo == hi is an
+    equality and skips all of this.  ``h_size`` is max|H| per row, the
+    scale of D's rounding."""
     m = H.shape[0]
     lam = np.array(lam0, dtype=np.float64)
+    bracket = lo < hi
+    any_bracket = bool(bracket.any())
     lz, p = _dual_kernel(H, w, lam)
-    here = lz + float(lam @ b)
+    here = lz + float(lam @ np.where(lam > 0.0, hi, lo))
     trace = [here]
     if m == 0:
         return lam, 0, 0.0, tuple(trace)
-    signed = bool(sign.any())
     for it in range(max_iter):
         wp = w * p
         mom = wp @ H.T
-        g = b - mom
-        held = (lam == 0.0) & (sign * g > 0.0)
-        gnorm = float(abs(np.where(held, 0.0, g)).max())
+        g, rows = lo - mom, slice(None)
+        if any_bracket:
+            # The target is the bound the multiplier's sign names; at zero
+            # it is the moment clipped into the bracket.
+            low, high = np.where(lam > 0.0, hi, lo), np.where(lam < 0.0, lo, hi)
+            g = np.clip(mom, low, high) - mom
+            at_zero = bracket & (lam == 0.0)
+            # A row held at zero by its bracket stays out of the step and
+            # of the covariance.
+            inside = at_zero & (g == 0.0)
+            if inside.any():
+                rows = ~inside
+            zero_rows = at_zero[rows]
+        gnorm = float(abs(g).max())
         if gnorm <= tol:
             return lam, it, gnorm, tuple(trace)
-        hess = _covariance(H, wp, mom)
+        hess = _covariance(H[rows], wp, mom[rows])
         var = hess.diagonal()
         if not (var > 0.0).all():
             raise InfeasibleError(_SINGULAR)
-        # Newton on the Hessian scaled to a unit diagonal: the scaling makes
-        # the ridge relative, so a multiplier of any size gets the same step.
-        # A held row scales to zero, which leaves it out of the step.
-        s = np.where(held, 0.0, 1.0 / np.sqrt(var))
-        scaled = hess * np.outer(s, s)
-        np.fill_diagonal(scaled, 1.0 + _RIDGE)
-        # With a few rows, products with the inverted factor beat two solves.
-        try:
-            inv = np.linalg.inv(np.linalg.cholesky(scaled))
-        except np.linalg.LinAlgError:
-            raise InfeasibleError(_SINGULAR) from None
-        direction = -s * (inv.T @ (inv @ (s * g)))
-        allowance = _ARMIJO_ROUNDING * max(1.0, abs(here), float(np.abs(lam) @ h_size))
-        step = 1.0
+        g_rows = g[rows]
+        held = np.zeros(len(g_rows), dtype=bool)
         while True:
-            trial = lam + step * direction
-            if signed:
-                trial[sign * trial < 0.0] = 0.0
+            # Newton on the Hessian scaled to a unit diagonal: the scaling
+            # makes the ridge relative, so a multiplier of any size gets the
+            # same step.  A held row scales to zero, which leaves it out.
+            s = np.where(held, 0.0, 1.0 / np.sqrt(var))
+            scaled = hess * np.outer(s, s)
+            np.fill_diagonal(scaled, 1.0 + _RIDGE)
+            # With a few rows, products with the inverted factor beat two
+            # solves.
+            try:
+                inv = np.linalg.inv(np.linalg.cholesky(scaled))
+            except np.linalg.LinAlgError:
+                raise InfeasibleError(_SINGULAR) from None
+            step_rows = -s * (inv.T @ (inv @ (s * g_rows)))
+            if not any_bracket:
+                break
+            # A row at zero whose step would leave its target's side.
+            away = zero_rows & (step_rows * g_rows > 0.0)
+            if not away.any():
+                break
+            held |= away
+        direction = np.zeros(m)
+        direction[rows] = step_rows
+        step = 1.0
+        if any_bracket:
+            # The ratio test: the step at which each multiplier heading for
+            # zero reaches it.
+            ratio = np.full(m, np.inf)
+            crossing = bracket & (lam * direction < 0.0)
+            ratio[crossing] = -lam[crossing] / direction[crossing]
+            step = min(1.0, float(ratio.min()))
+        allowance = _ARMIJO_ROUNDING * max(1.0, abs(here), float(np.abs(lam) @ h_size))
+        while True:
+            trial, bound = lam + step * direction, lo
+            if any_bracket:
+                # Only the first trial can reach a ratio-test stop.
+                trial[ratio <= step] = 0.0
+                bound = np.where(trial > 0.0, hi, lo)
             lz, p = _dual_kernel(H, w, trial)
-            value = lz + float(trial @ b)
+            value = lz + float(trial @ bound)
             # Written so that a NaN value is rejected too.
             if value <= here + _ARMIJO_SLOPE * float(g @ (trial - lam)) + allowance:
                 break
             step *= 0.5
-            if step < 1e-14:
+            # Stalled once the step no longer moves the multipliers (or,
+            # for a direction that is not finite, once it underflows).
+            if step == 0.0 or (lam + step * direction == lam).all():
                 raise InfeasibleError(
                     "line search stalled; the problem is infeasible or unbounded"
                 )
@@ -376,80 +419,38 @@ def _entropy_of(support: Support, density: NDArray[np.float64]) -> float:
 
 
 def _solve(problem: Problem, options: SolveOptions) -> MaxEntSolution:
-    """The active-set loop around Newton, on the problem's feature matrix."""
+    """One Newton run on the problem's feature matrix."""
     support, specs = problem.support, problem.constraints
     H, w = problem.features, support.weights
     tol = options.resolve_tol(support)
 
-    eq_ids = [i for i, s in enumerate(specs) if s.is_equality]
-    int_ids = [i for i, s in enumerate(specs) if not s.is_equality]
-    for i in eq_ids:
-        _check_target_attainable(specs[i].function, H[i], specs[i].equals)
+    # An equality is the bracket with lo == hi.
+    lo = np.array([s.equals if s.is_equality else s.bounds[0] for s in specs])
+    hi = np.array([s.equals if s.is_equality else s.bounds[1] for s in specs])
     h_min, h_max = H.min(axis=1), H.max(axis=1)
-    for i in int_ids:
-        lo, hi = specs[i].bounds
-        if lo >= h_max[i] or hi <= h_min[i]:
+    for i, spec in enumerate(specs):
+        if spec.is_equality:
+            _check_target_attainable(spec.function, H[i], spec.equals)
+        elif lo[i] >= h_max[i] or hi[i] <= h_min[i]:
             raise InfeasibleError(
-                f"interval [{lo:g}, {hi:g}] for {specs[i].function.label()} "
+                f"interval [{lo[i]:g}, {hi[i]:g}] for {spec.function.label()} "
                 "cannot intersect the attainable range "
                 f"({h_min[i]:g}, {h_max[i]:g})"
             )
 
-    # Newton and the active-set check run on the atoms; with none to merge
-    # they get the grid's own arrays.
+    # Newton runs on the atoms; with none to merge it gets the grid's own
+    # arrays.
     starts = _atom_starts(H)
     Ha, wa = (H, w) if starts is None else (H[:, starts], np.add.reduceat(w, starts))
     center = (Ha @ wa) / float(wa.sum())
-    Hc = Ha - center[:, None]
+    # C order: `H[:, starts]` comes out in F order, on which matmul rounds
+    # differently.
+    Hc = np.subtract(Ha, center[:, None], order="C")
     hc_size = np.maximum(h_max - center, center - h_min)
-    active: dict[int, str] = {}
-    lam = np.zeros(len(specs))
-    total_iters = 0
-    trace: list[float] = []
-
-    for _ in range(MAX_OUTER_PASSES):
-        solve_ids = eq_ids + sorted(active)
-        # A pinned bound lies inside the attainable range: the moment it is
-        # missed by does, and the range check above holds the other side.
-        targets = np.array(
-            [
-                specs[i].bounds[active[i] == "hi"] if i in active else specs[i].equals
-                for i in solve_ids
-            ]
-        )
-        sign = np.array([_SIGN.get(active.get(i), 0.0) for i in solve_ids])
-        sub, iters, gnorm, sub_trace = _newton(
-            Hc[solve_ids], wa, targets - center[solve_ids], lam[solve_ids],
-            sign, hc_size[solve_ids], tol, options.max_iter,
-        )
-        total_iters += iters
-        trace.extend(sub_trace)
-        lam[solve_ids] = sub  # a row outside the working set stays at zero
-        if not int_ids:
-            break
-        # A bound whose multiplier Newton held at zero does not bind.
-        for i in [i for i in active if lam[i] == 0.0]:
-            del active[i]
-
-        _, p = _dual_kernel(Ha, wa, lam)
-        moment = (wa * p) @ Ha.T
-        worst, worst_share = None, 0.0
-        for i in int_ids:
-            lo, hi = specs[i].bounds
-            gap = max(lo - moment[i], moment[i] - hi)
-            # A bracket missed by no more than tol is met (the final check
-            # allows as much).  A constant row has no range, but it never
-            # violates a bracket that passed the range check above.
-            share = gap / (h_max[i] - h_min[i]) if gap > tol else 0.0
-            if i not in active and share > worst_share:
-                worst, worst_share = i, share
-        if worst is None:
-            break
-        active[worst] = "lo" if moment[worst] < specs[worst].bounds[0] else "hi"
-    else:
-        raise ActiveSetCycleError(
-            f"active-set loop exceeded {MAX_OUTER_PASSES} outer passes"
-        )
+    lam, iters, gnorm, trace = _newton(
+        Hc, wa, lo - center, hi - center, np.zeros(len(specs)), hc_size, tol,
+        options.max_iter,
+    )
 
     lz, _ = _dual_kernel(H, w, lam)
     density = _exponential_density(H, lam, lz)
@@ -462,20 +463,19 @@ def _solve(problem: Problem, options: SolveOptions) -> MaxEntSolution:
         if spec.is_equality:
             residuals.append(moment[i] - spec.equals)
             labels.append("eq")
-        else:
-            lo, hi = spec.bounds
-            if moment[i] < lo - tol or moment[i] > hi + tol:
-                raise InfeasibleError(
-                    f"interval constraint {spec.function.label()} violated after "
-                    "the active-set loop; the problem is infeasible or unbounded"
-                )
-            residuals.append(
-                moment[i] - lo if moment[i] < lo else max(moment[i] - hi, 0.0)
+            continue
+        if moment[i] < lo[i] - tol or moment[i] > hi[i] + tol:
+            raise InfeasibleError(
+                f"interval constraint {spec.function.label()} violated after "
+                "Newton; the problem is infeasible or unbounded"
             )
-            labels.append(active.get(i, "slack"))
+        residuals.append(
+            moment[i] - lo[i] if moment[i] < lo[i] else max(moment[i] - hi[i], 0.0)
+        )
+        labels.append("hi" if lam[i] > 0.0 else "lo" if lam[i] < 0.0 else "slack")
 
     diagnostics = SolverDiagnostics(
-        iterations=total_iters,
+        iterations=iters,
         grad_max_norm=gnorm,
         residuals=tuple(float(r) for r in residuals),
         active_bounds=tuple(labels),
@@ -517,14 +517,10 @@ def solve_interval(
 ) -> MaxEntSolution:
     """Maximum-entropy density with interval targets lo <= E[h] <= hi.
 
-    Equality constraints may be mixed in; they stay pinned throughout.
-    Interval constraints start slack; each outer pass pins one bound, the
-    one violated (by more than the tolerance) by the largest share of its
-    function's attainable range.  Newton keeps each pinned multiplier on
-    the sign complementary slackness allows, and a bound whose multiplier
-    ends at zero is released.  Running past 50 outer passes raises
-    ActiveSetCycleError.  With
-    equality constraints only, this is the same solve as
+    Equality constraints may be mixed in.  One Newton run minimizes the
+    bracket dual (see the module docstring): a multiplier's sign names the
+    bound it pins, and a bracket whose multiplier ends at zero is slack.
+    With equality constraints only, this is the same solve as
     :func:`solve_equality`.
     """
     return _solve(validate_problem(support, constraints), options)

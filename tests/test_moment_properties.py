@@ -2,8 +2,10 @@
 
 Hypothesis draws a positive density q on a quadrature grid and takes its
 power moments E_q[x^k], k = 1..m, as targets (equalities) or as centres of
-brackets (intervals).  Every draw is feasible because q meets it, so every
-solve must succeed and meet each target within the residual tolerance.
+brackets (intervals).  The interval suite also draws some rows as
+equalities, and may add a bracket on the mass of a run of nodes.  Every draw
+is feasible because q meets it, so every solve must succeed and meet each
+target within the residual tolerance.
 
 It must also carry at least q's entropy.  For p = exp(-log Z - lam . h),
 Gibbs' inequality gives
@@ -95,17 +97,32 @@ def test_equality_moments_of_a_positive_density_solve(problem):
 @given(moment_problems(), st.data())
 def test_interval_moments_of_a_positive_density_solve(problem, data):
     support, q, H, targets = problem
+    functions = POWERS[: len(targets)]
+    if data.draw(st.booleans()):
+        # A bracket on the mass of the nodes i..j, never the whole grid.
+        x, n = support.nodes, support.n
+        i = data.draw(st.integers(0, n - 2))
+        j = data.draw(st.integers(i + 1, n - 1 if i > 0 else n - 2))
+        functions = functions + [ConstraintFunction.indicator(x[i], x[j])]
+        row = ((x >= x[i]) & (x <= x[j])).astype(np.float64)
+        H = np.vstack([H, row])
+        targets = np.append(targets, row @ (support.weights * q))
     sd = np.sqrt(H**2 @ (support.weights * q) - targets**2)
-    # Each bracket reaches 0-0.5 standard deviations of q to either side.
+    # Each bracket reaches 0-0.5 standard deviations of q to either side;
+    # a row drawn as an equality is a bracket of zero width.
     share = st.floats(0.0, 0.5)
     m = len(targets)
     pairs = st.lists(st.tuples(share, share), min_size=m, max_size=m)
     widths = np.array(data.draw(pairs))
+    equal = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    widths[equal] = 0.0
     lo = targets - widths[:, 0] * sd
     hi = targets + widths[:, 1] * sd
     specs = [
-        ConstraintSpec.interval(fn, float(l), float(h))
-        for fn, l, h in zip(POWERS, lo, hi)
+        ConstraintSpec.equality(fn, float(t))
+        if e
+        else ConstraintSpec.interval(fn, float(l), float(h))
+        for fn, t, e, l, h in zip(functions, targets, equal, lo, hi)
     ]
     tol = _tolerance(targets)
     sol = solve_interval(support, specs, SolveOptions(tol=tol))

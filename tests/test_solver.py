@@ -14,7 +14,6 @@ from maxentutil.core import (
     validate_problem,
 )
 from maxentutil.solver import (
-    _SIGN,
     SolveOptions,
     _newton,
     dual_gradient,
@@ -296,10 +295,8 @@ def test_solve_tabulates_each_constraint_at_most_twice(monkeypatch, solve, specs
 
     monkeypatch.setattr(ConstraintFunction, "tabulate", counted)
     sol = solve(Support.continuous(0.0, 5.0, 1024), specs)
-    if solve is solve_interval:
-        # Three active-set passes (one bound is pinned per pass): each pass
-        # adds one trace entry at its start.
-        assert len(sol.diagnostics.dual_trace) - sol.diagnostics.iterations == 3
+    # One Newton run: D at its start and after every accepted step.
+    assert len(sol.diagnostics.dual_trace) == sol.diagnostics.iterations + 1
     # Once for the problem's feature matrix, once for the solution's own
     # reconstruction check.
     assert set(calls) == {spec.function for spec in specs}
@@ -310,26 +307,18 @@ def test_solve_tabulates_each_constraint_at_most_twice(monkeypatch, solve, specs
 
 def _full_grid_multipliers(sol):
     """The multipliers `_newton` reaches on the full centered grid (Hc, w)
-    from zero, for the working set the solve ended with."""
+    from zero."""
     H = validate_problem(sol.support, sol.constraints).features
     w = sol.support.weights
     center = (H @ w) / float(w.sum())
     Hc = H - center[:, None]
-    labels, specs = sol.diagnostics.active_bounds, sol.constraints
-    ids = [i for i, label in enumerate(labels) if label != "slack"]
-    targets = np.array(
-        [
-            specs[i].equals if labels[i] == "eq" else specs[i].bounds[labels[i] == "hi"]
-            for i in ids
-        ]
-    )
-    sign = np.array([_SIGN.get(labels[i], 0.0) for i in ids])
-    lam = np.zeros(len(specs))
-    lam[ids] = _newton(
-        Hc[ids], w, targets - center[ids], np.zeros(len(ids)), sign,
-        np.abs(Hc[ids]).max(axis=1), SolveOptions().resolve_tol(sol.support), 200,
+    lo, hi = np.array(
+        [(s.equals, s.equals) if s.is_equality else s.bounds for s in sol.constraints]
+    ).T
+    return _newton(
+        Hc, w, lo - center, hi - center, np.zeros(len(lo)),
+        np.abs(Hc).max(axis=1), SolveOptions().resolve_tol(sol.support), 200,
     )[0]
-    return lam
 
 
 def _indicator_spec(lo: float, hi: float, value: float) -> ConstraintSpec:
@@ -353,7 +342,7 @@ def test_assessed_utility_solves_on_one_atom_per_cell(k):
         # The zero runs on either side of the indicator stay apart.
         (Support.continuous(0.0, 1.0), [_indicator_spec(0.2, 0.5, 0.5)], 3),
         (Support.discrete(list(range(10))), [_indicator_spec(2.0, 5.0, 0.7)], 3),
-        # Brackets pinned and left slack by the active-set check on atoms.
+        # Brackets, one bound met and one slack, solved on atoms.
         (
             Support.continuous(0.0, 1.0),
             [
@@ -539,7 +528,7 @@ def test_active_interval_multiplier_sign_is_consistent():
 def test_bounds_pinned_together_need_not_be_jointly_attainable():
     # From the uniform density all four lower bounds are violated, but
     # pinning E[x] = 0.808 and E[x^2] = 0.6425 together asks for a negative
-    # variance.  Pinning the worst violation first finds the feasible set.
+    # variance.  Only the first and the last bind at the optimum.
     brackets = [
         (0.8082667863234827, 0.8737501367884588),
         (0.6425187916500261, 0.8434680151736358),
@@ -558,10 +547,9 @@ def test_bounds_pinned_together_need_not_be_jointly_attainable():
 
 
 def test_a_pinned_bound_that_stops_binding_is_released():
-    # E[x^2] >= 17.2 is the worst violation at the uniform density and is
-    # pinned first; E[x] >= 4.2 is pinned next, and the two together ask for
-    # a negative variance.  Newton keeps the first multiplier nonpositive,
-    # drives it to zero, and the bound is released.
+    # Both lower bounds are violated at the uniform density, and the two
+    # together ask for a negative variance.  E[x] >= 4.2 binds alone: the
+    # multiplier of E[x^2] must end at exactly zero.
     specs = [
         ConstraintSpec.interval(ConstraintFunction.power(1), 4.2, 4.5),
         ConstraintSpec.interval(ConstraintFunction.power(2), 17.2, 21.5),
@@ -572,6 +560,33 @@ def test_a_pinned_bound_that_stops_binding_is_released():
     mom = moments(sol, [s.function for s in specs])
     assert abs(mom[0] - 4.2) <= 1e-8
     assert 17.2 <= mom[1] <= 21.5
+
+
+def test_a_multiplier_near_zero_does_not_zig_zag():
+    # Projecting each trial onto the multipliers' signs zig-zags here at a
+    # near-zero multiplier; on the Newton direction with a ratio test the
+    # solve converges.  The expected multipliers are those an active-set
+    # solve (one bound pinned per pass) finds.
+    power = ConstraintFunction.power
+    specs = [
+        _power_spec(1, 0.8973105358010705),
+        _power_spec(2, 0.8397799741875639),
+        ConstraintSpec.interval(power(3), 0.7004916875609075, 0.8374575199504822),
+        _power_spec(4, 0.7572634196837966),
+        ConstraintSpec.interval(power(5), 0.6768284105976351, 0.8468078226823708),
+        ConstraintSpec.interval(power(6), 0.6832377082208193, 0.8293944745529324),
+        ConstraintSpec.interval(
+            ConstraintFunction.indicator(0.0214639, 0.826223),
+            0.12851471898163974,
+            0.16947958169161445,
+        ),
+    ]
+    sol = solve_interval(Support.continuous(0.0, 1.0, 128), specs)
+    assert sol.diagnostics.active_bounds == (
+        "eq", "eq", "slack", "eq", "slack", "slack", "lo",
+    )
+    expected = [2.516642, -0.472675, 0.0, -6.816841, 0.0, 0.0, -0.065940]
+    np.testing.assert_allclose(sol.multipliers, expected, rtol=0.0, atol=1e-6)
 
 
 def test_bracket_missed_within_tol_stays_slack():

@@ -249,6 +249,21 @@ def test_snapping_tie_goes_to_the_lower_edge():
     assert [c.function.upper for c in sol.constraints] == [0.30078125, 0.5]
 
 
+def test_an_assessment_near_the_edge_survives_a_vanishing_variance():
+    # The first Newton step leaves the cell right of the snapped point with
+    # mass 5e-20, so the next direction is about -1e18 and the line search
+    # must halve its step to about 3e-17 before a trial is acceptable.
+    x, v = 0.9791288347739763, 0.052577598800638795
+    s = Support.continuous(0.0, 1.0, 128)
+    curve, sol = maxent_utility_from_assessments(s, [(x, v)])
+    (edge,) = [c.function.upper for c in sol.constraints]
+    assert edge == 0.98046875
+    # Two flats: the density ratio across the edge is exp(multiplier).
+    closed_form = math.log((1.0 - v) * edge / ((1.0 - edge) * v))
+    assert sol.multipliers[0] == pytest.approx(closed_form, rel=1e-6)
+    assert curve.evaluate(edge) == pytest.approx(v, abs=1e-8)
+
+
 @pytest.mark.parametrize(
     "assessments",
     [

@@ -11,9 +11,9 @@ composite Gauss-Legendre rule (panels of up to 32 nodes).  Every downstream
 integral, including the cumulative integrals used for utility curves, is
 taken against this grid, so results are deterministic for a given support
 on one numpy/BLAS build.  Across builds the nodes (from numpy's LAPACK-backed
-`leggauss`) and the BLAS reductions may differ in the last bits; the CLI's
-output contract (see :mod:`maxentutil.cli`) holds such drift within rel
-1e-12 / abs 1e-14.
+`leggauss`), the BLAS reductions and numpy's `pow` may differ in the last
+bits; the CLI's output contract (see :mod:`maxentutil.cli`) holds such drift
+within rel 1e-12 / abs 1e-14.
 """
 
 from __future__ import annotations
@@ -76,6 +76,22 @@ def _readonly(a: NDArray, dtype: type = np.float64) -> NDArray:
     a = np.ascontiguousarray(a, dtype=dtype)
     a.flags.writeable = False
     return a
+
+
+def _power(x: NDArray[np.float64], degree: int) -> NDArray[np.float64]:
+    """x**degree in a fresh array, computed as |x|**degree with the sign of x
+    put back for odd degrees.
+
+    numpy's vectorised ``pow`` takes a slow scalar path for a negative base
+    (about 30x slower for degree >= 3 at 8192 nodes); |x| keeps every base
+    non-negative.  On non-negative nodes the result is
+    bit-identical to ``x ** degree``; on negative nodes it may differ from it
+    by 1 ulp, because the fast and the slow ``pow`` round differently.
+    """
+    out = np.abs(x) ** degree
+    if degree % 2:
+        np.copysign(out, x, out=out)
+    return out
 
 
 def _panel_sizes(n: int) -> tuple[int, ...]:
@@ -273,8 +289,10 @@ class ConstraintFunction:
 
     def __post_init__(self) -> None:
         if self.kind == "power":
-            if not isinstance(self.degree, int) or self.degree < 1:
+            d = self.degree
+            if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
                 raise ValidationError("power degree must be a positive integer")
+            object.__setattr__(self, "degree", int(d))
         elif self.kind == "indicator":
             if self.lower is None or self.upper is None:
                 raise ValidationError("indicator needs both edges")
@@ -323,11 +341,17 @@ class ConstraintFunction:
                 )
 
     def tabulate(self, support: Support) -> NDArray[np.float64]:
-        """Values of h at every support node."""
+        """Values of h at every support node, in a fresh array.
+
+        Powers are computed as |x|**degree with the sign put back for odd
+        degrees (:func:`_power`): numpy's ``pow`` is slow on negative bases,
+        and this matches ``x ** degree`` bit for bit on non-negative nodes
+        and within 1 ulp on negative ones.
+        """
         self.validate_on(support)
         x = support.nodes
         if self.kind == "power":
-            return x ** self.degree
+            return _power(x, self.degree)
         if self.kind == "indicator":
             return ((x >= self.lower) & (x <= self.upper)).astype(np.float64)
         return np.asarray(self.values, dtype=np.float64)
@@ -335,16 +359,18 @@ class ConstraintFunction:
     def derivative(self, support: Support) -> NDArray[np.float64]:
         """Values of h'(x) at every node.
 
-        Indicator functions differentiate to 0 away from their edges; the
-        nodes at (or straddling) an edge are the caller's problem and are
-        reported by :func:`edge_mask`.
+        A power's slope degree * x**(degree - 1) takes its power the way
+        :meth:`tabulate` does (|x| to the power, sign put back), for the same
+        reason.  Indicator functions differentiate to 0 away from their
+        edges; the nodes at (or straddling) an edge are the caller's problem
+        and are reported by :func:`edge_mask`.
         """
         self.validate_on(support)
         x = support.nodes
         if self.kind == "power":
             if self.degree == 1:
                 return np.ones_like(x)
-            return self.degree * x ** (self.degree - 1)
+            return self.degree * _power(x, self.degree - 1)
         if self.kind == "indicator":
             return np.zeros_like(x)
         if self.slope is None:

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -178,6 +181,77 @@ def test_power_rejects_bad_degree():
         ConstraintFunction.power(0)
     with pytest.raises(ValidationError):
         ConstraintFunction(kind="power", degree=None)
+    for flag in (True, np.bool_(True)):
+        with pytest.raises(ValidationError):
+            ConstraintFunction.power(flag)
+    with pytest.raises(ValidationError):
+        ConstraintFunction.power(3.0)
+
+
+def test_power_accepts_numpy_integer_degree_as_int():
+    fn = ConstraintFunction.power(np.int64(3))
+    assert type(fn.degree) is int
+    assert fn == ConstraintFunction.power(3)
+    assert fn.label() == "power 3"
+
+
+# Supports with negative nodes, where powers take the |x|**d path.
+_SIGNED_SUPPORTS = [
+    Support.continuous(-1.0, 1.0, 512),
+    Support.continuous(-3.0, -1.0, 512),
+    Support.discrete([-2.5, -1.0, -0.3, 0.0, 1e-3, 0.7, 1.0, 4.0]),
+]
+_DEGREES = list(range(1, 9)) + [13]
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def _exact_power(x: float, d: int) -> Fraction:
+    # Rational arithmetic throughout: never calls numpy's (or libm's) pow.
+    return Fraction(x) ** d
+
+
+def _assert_near_exact(values, exact, ulps):
+    for got, want in zip(values.tolist(), exact):
+        assert _sign(got) == _sign(want)
+        assert abs(Fraction(got) - want) <= ulps * Fraction(math.ulp(float(want)))
+
+
+@pytest.mark.parametrize("support", _SIGNED_SUPPORTS)
+@pytest.mark.parametrize("d", _DEGREES)
+def test_power_rows_match_an_exact_oracle(support, d):
+    fn = ConstraintFunction.power(d)
+    x = support.nodes.tolist()
+    _assert_near_exact(fn.tabulate(support), [_exact_power(v, d) for v in x], 1)
+    slope = fn.derivative(support)
+    if d == 1:
+        assert np.array_equal(slope, np.ones(support.n))
+    else:
+        # One rounding in the power, one in the product with d.
+        _assert_near_exact(slope, [d * _exact_power(v, d - 1) for v in x], 2)
+
+
+@pytest.mark.parametrize(
+    "support",
+    [Support.continuous(0.0, 5.0, 512), Support.discrete([0.0, 0.5, 1.0, 2.0, 3.7])],
+)
+@pytest.mark.parametrize("d", _DEGREES)
+def test_power_rows_are_plain_pow_on_non_negative_nodes(support, d):
+    x = support.nodes
+    fn = ConstraintFunction.power(d)
+    assert np.array_equal(fn.tabulate(support), x**d)
+    if d > 1:
+        assert np.array_equal(fn.derivative(support), d * x ** (d - 1))
+
+
+def test_first_power_row_is_a_fresh_writable_array():
+    s = Support.continuous(-1.0, 1.0, 64)
+    h = ConstraintFunction.power(1).tabulate(s)
+    assert np.array_equal(h, s.nodes)
+    assert h.flags.writeable
+    assert not np.shares_memory(h, s.nodes)
 
 
 def test_indicator_rejects_bad_edges():

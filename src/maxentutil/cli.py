@@ -16,14 +16,21 @@ mixes constraints and assessments is rejected.  `tol`, `max_iter`, `base`
 the corresponding command-line flags.  Only `constraint` and `assessment`
 lines repeat; any other key given twice is an error.
 
-Exit status: 0 on convergence, 1 for parse or validation problems, 2 when
-the problem is infeasible.  All numbers are printed with `%.17g`, so the
-table parses back bit for bit.  On one numpy/BLAS build, identical inputs
-produce byte-identical output from run to run.  Across builds the last bits
-of a number may move (numpy's `exp`, BLAS reductions, LAPACK's quadrature
-nodes, and numpy's `pow`, whose SIMD and libm versions differ by 1 ulp at
-193-245 of 8192 nodes on [-1, 1]): numbers agree within rel 1e-12 / abs
-1e-14, and formatting and text are identical.
+Exit status: 0 on convergence, 1 for parse or validation problems, output
+that cannot be written, or a stdout pipe whose reader has gone away, 2 when
+the problem is infeasible.
+The `maxentutil` command and `python -m maxentutil` go through `run()`,
+which flushes stdout and stderr and ends the process with `os._exit`: no
+`atexit` handler runs after the command, so profile or trace through
+`main(argv)`, which returns the exit status instead.
+
+All numbers are printed with `%.17g`, so the table parses back bit for
+bit.  On one numpy/BLAS build, identical inputs produce byte-identical
+output from run to run.  Across builds the last bits of a number may move
+(numpy's `exp`, BLAS reductions, LAPACK's quadrature nodes, and numpy's
+`pow`, whose SIMD and libm versions differ by 1 ulp at 193-245 of 8192
+nodes on [-1, 1]): numbers agree within rel 1e-12 / abs 1e-14, and
+formatting and text are identical.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -54,7 +62,9 @@ from .utility import (
     maxent_utility_from_assessments,
 )
 
-__all__ = ["main", "cmd_solve", "cmd_entropy", "parse_spec_file", "ResultBundle"]
+__all__ = [
+    "main", "run", "cmd_solve", "cmd_entropy", "parse_spec_file", "ResultBundle"
+]
 
 _UNIT = {"natural": "nats", "base2": "bits"}
 #: Spec keys that may appear at most once.
@@ -363,9 +373,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit status; the process goes on.
+
+    This is the in-process API (tests, profilers, library callers).
+    Usage errors and `--help` raise argparse's `SystemExit`.
+    """
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when started with fd 1 closed
+            # A reader that has gone away shows here, not at interpreter exit.
+            sys.stdout.flush()
+        return code
     except InfeasibleError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -376,3 +395,26 @@ def main(argv: list[str] | None = None) -> int:
         # Downstream consumer (head, less) closed the pipe; leave quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:
+        # The table or summary cannot be written (full disk, missing folder).
+        sys.stderr.write(f"error: cannot write output: {exc}\n")
+        return 1
+
+
+def run() -> NoReturn:
+    """Process entry point of `maxentutil` and `python -m maxentutil`.
+
+    Calls `main()`, flushes the standard streams and ends the process with
+    `os._exit`, skipping interpreter teardown: output files are closed by
+    then, and the package registers no `atexit` handler and starts no
+    thread.  Exceptions that `main()` raises (usage errors, `--help`,
+    interrupts) leave through the normal exit.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        code = code or 1
+    os._exit(code)

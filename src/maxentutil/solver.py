@@ -267,9 +267,9 @@ def dual_state(
 
 
 def _check_target_attainable(
-    function: ConstraintFunction, h: NDArray[np.float64], target: float
+    function: ConstraintFunction, h_min: float, h_max: float, target: float
 ) -> None:
-    h_min, h_max = float(h.min()), float(h.max())
+    """`h_min`, `h_max`: the range of `function` on the support's nodes."""
     if h_min == h_max:
         raise InfeasibleError(
             f"constraint {function.label()} is constant on the support"
@@ -430,7 +430,7 @@ def _solve(problem: Problem, options: SolveOptions) -> MaxEntSolution:
     h_min, h_max = H.min(axis=1), H.max(axis=1)
     for i, spec in enumerate(specs):
         if spec.is_equality:
-            _check_target_attainable(spec.function, H[i], spec.equals)
+            _check_target_attainable(spec.function, h_min[i], h_max[i], spec.equals)
         elif lo[i] >= h_max[i] or hi[i] <= h_min[i]:
             raise InfeasibleError(
                 f"interval [{lo[i]:g}, {hi[i]:g}] for {spec.function.label()} "

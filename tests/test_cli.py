@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,12 +18,15 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 
 
+# Without PYTHONUNBUFFERED the child's stdout is block-buffered, as it is
+# for users writing to a pipe or file, so output lost at exit shows.
+CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
 def run_cli(*args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "maxentutil", *args],
-        capture_output=True,
-        text=True,
-        **kwargs,
+        **{"capture_output": True, "text": True, "env": CHILD_ENV, **kwargs},
     )
 
 
@@ -273,6 +277,79 @@ def test_mixed_styles_are_rejected(tmp_path):
 def test_bad_masses_exit_one():
     res = run_cli("entropy", "--masses", "0.5,oops")
     assert res.returncode == 1
+
+
+# ------------------------------------------------------------------ process
+
+@pytest.mark.parametrize(
+    "name", ["uniform", "cara", "assessed", "bad_key", "infeasible"]
+)
+def test_process_matches_main(tmp_path, capsys, name):
+    # The process ends with os._exit: whatever main() prints must be out by
+    # then, with the exit code main() returns.
+    spec = str(DATA / f"{name}.spec")
+    code = main(["solve", spec])
+    out, err = capsys.readouterr()
+    res = run_cli("solve", spec, text=False)
+    assert (res.returncode, res.stdout, res.stderr) == (
+        code, out.encode(), err.encode()
+    )
+    assert code == {"bad_key": 1, "infeasible": 2}.get(name, 0)
+    if code == 0:
+        here, there = tmp_path / "main.csv", tmp_path / "process.csv"
+        assert main(["solve", spec, "--out", str(here)]) == 0
+        assert run_cli("solve", spec, "--out", str(there)).returncode == 0
+        assert there.read_bytes() == here.read_bytes()
+
+
+def test_usage_error_exits_two():
+    res = run_cli("solve")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("usage: maxentutil solve")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["entropy", "--masses", "0.5,0.5"], ["solve", str(DATA / "cara.spec")]],
+)
+def test_closed_stdout_pipe_exits_one_quietly(args):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = run_cli(*args, stdout=write_end, capture_output=False,
+                      stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert res.returncode == 1
+    assert res.stderr == ""
+
+
+def test_unwritable_output_exits_one(tmp_path):
+    res = run_cli("solve", str(DATA / "cara.spec"), "--out",
+                  str(tmp_path / "missing" / "table.csv"))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: cannot write output:")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_on_a_full_device_exits_one():
+    with open("/dev/full", "w") as full:
+        res = run_cli("entropy", "--masses", "0.5,0.5", stdout=full,
+                      capture_output=False, stderr=subprocess.PIPE)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: cannot write output:")
+    assert "Traceback" not in res.stderr and "ignored" not in res.stderr
+
+
+def test_quiet_run_needs_no_stdout(tmp_path):
+    # Started with fd 1 closed, Python has no sys.stdout at all.
+    out = tmp_path / "table.csv"
+    res = run_cli("solve", str(DATA / "cara.spec"), "--quiet", "--out", str(out),
+                  preexec_fn=lambda: os.close(1), capture_output=False,
+                  stderr=subprocess.PIPE)
+    assert res.returncode == 0, res.stderr
+    assert len(out.read_text().splitlines()) == 129
 
 
 # ---------------------------------------------------------------- roundtrip

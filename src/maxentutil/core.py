@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache, cached_property
 from typing import Iterable, Sequence
 
@@ -363,7 +363,8 @@ class ConstraintFunction:
         :meth:`tabulate` does (|x| to the power, sign put back), for the same
         reason.  Indicator functions differentiate to 0 away from their
         edges; the nodes at (or straddling) an edge are the caller's problem
-        and are reported by :func:`edge_mask`.
+        and are reported by :meth:`edge_mask` (the risk profile masks the
+        same nodes for every indicator at once).
         """
         self.validate_on(support)
         x = support.nodes
@@ -528,6 +529,13 @@ class MaxEntSolution:
     * density strictly positive at every node;
     * total mass 1 (sum for discrete, quadrature for continuous);
     * the rebuilt density matches the stored one to 1e-12 relative error.
+
+    The rebuild reads ``features``, the constraint functions tabulated at
+    the nodes (one row per constraint), when the caller already holds them:
+    the solver passes its problem's matrix, so a solve tabulates each
+    constraint once.  The matrix is not kept on the solution.  Without it,
+    construction tabulates the constraints itself, as
+    :meth:`rebuild_density` always does.
     """
 
     support: Support
@@ -537,8 +545,9 @@ class MaxEntSolution:
     log_partition: float
     entropy: float
     diagnostics: SolverDiagnostics
+    features: InitVar[NDArray[np.float64] | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, features: NDArray[np.float64] | None) -> None:
         object.__setattr__(self, "density", _readonly(self.density))
         object.__setattr__(self, "multipliers", _readonly(self.multipliers))
         n, m = self.support.n, len(self.constraints)
@@ -552,7 +561,16 @@ class MaxEntSolution:
         tol = MASS_TOL_CONTINUOUS if self.support.is_continuous else MASS_TOL_DISCRETE
         if abs(mass - 1.0) > tol:
             raise ValidationError(f"solution mass {mass!r} is not 1 within {tol:g}")
-        rebuilt = self.rebuild_density()
+        if features is None:
+            H = _feature_matrix(self.support, [s.function for s in self.constraints])
+        else:
+            H = np.asarray(features, dtype=np.float64)
+        if H.shape != (m, n):
+            raise ValidationError(
+                "solution features need one row per constraint and one column "
+                "per node"
+            )
+        rebuilt = _exponential_density(H, self.multipliers, self.log_partition)
         rel = np.max(np.abs(rebuilt - self.density) / self.density)
         if rel > RECONSTRUCTION_RTOL:
             raise ValidationError(
@@ -574,11 +592,14 @@ def exponential_density(
     multipliers: NDArray[np.float64],
     log_partition: float,
 ) -> NDArray[np.float64]:
-    """Density exp(-log_partition - sum_j m_j h_j(x)) at the support nodes.
+    """Density exp(-log_partition - sum_j m_j h_j(x)) at the support nodes,
+    with the constraint functions tabulated afresh.
 
-    The solver builds its final density through the same arithmetic, on its
-    problem's feature matrix, so a solution always reconstructs bit-for-bit
-    from its own multipliers.
+    The solver builds its final density through the same arithmetic
+    (:func:`_exponential_density`) on its problem's feature matrix, and
+    :class:`MaxEntSolution` checks it on that same matrix; a fresh
+    tabulation equals it, so a solution reconstructs bit-for-bit from its
+    own multipliers here too.
     """
     H = _feature_matrix(support, [spec.function for spec in constraints])
     return _exponential_density(H, multipliers, log_partition)

@@ -66,26 +66,38 @@ def risk_aversion_analytic(solution: MaxEntSolution) -> RiskAversionProfile:
     """gamma(x) = sum_j m_j h_j'(x) from a solution's own multipliers.
 
     Indicator constraints contribute 0 away from their edges; interior
-    nodes whose stencil spans an edge are masked out of the profile.
-    Tabulated constraint functions must carry a supplied derivative.
+    nodes whose stencil spans an edge are masked out of the profile.  One
+    search of every indicator edge against the nodes gives the mask: node i
+    is masked when x[i-1] <= edge <= x[i+1], the nodes that
+    :meth:`ConstraintFunction.edge_mask` reports.  An indicator's term row
+    is m_j * 0 without tabulating its derivative.  Tabulated constraint
+    functions must carry a supplied derivative.
     """
     support = solution.support
     if not support.is_continuous:
         raise ValidationError("risk profiles need a continuous support")
+    x = support.nodes
     keep = np.zeros(support.n, dtype=bool)
     keep[1:-1] = True
-    for spec in solution.constraints:
-        keep &= ~spec.function.edge_mask(support)
+    edges = [
+        edge
+        for spec in solution.constraints
+        if spec.function.kind == "indicator"
+        for edge in (spec.function.lower, spec.function.upper)
+    ]
+    # x[first - 1] is the last node below the edge and x[after] the first
+    # above it; they and every node between them are masked.
+    first = np.searchsorted(x, edges, "left")
+    after = np.searchsorted(x, edges, "right")
+    for i, j in zip(first.tolist(), after.tolist()):
+        keep[max(i - 1, 0) : j + 1] = False
     idx = np.flatnonzero(keep)
-    if len(solution.constraints) == 0:
-        terms = np.zeros((0, len(idx)))
-    else:
-        terms = np.vstack(
-            [
-                m_j * spec.function.derivative(support)[idx]
-                for m_j, spec in zip(solution.multipliers, solution.constraints)
-            ]
-        )
+    terms = np.empty((len(solution.constraints), len(idx)))
+    for row, m_j, spec in zip(terms, solution.multipliers, solution.constraints):
+        if spec.function.kind == "indicator":
+            row.fill(m_j * 0.0)
+        else:
+            row[:] = m_j * spec.function.derivative(support)[idx]
     return RiskAversionProfile(
         support=support,
         node_indices=idx,

@@ -490,6 +490,7 @@ def _solve(problem: Problem, options: SolveOptions) -> MaxEntSolution:
         log_partition=lz,
         entropy=_entropy_of(support, density),
         diagnostics=diagnostics,
+        features=H,
     )
 
 

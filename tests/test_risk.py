@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from maxentutil.core import (
     ConstraintFunction,
     ConstraintSpec,
+    MaxEntSolution,
+    SolverDiagnostics,
     Support,
     ValidationError,
+    exponential_density,
 )
 from maxentutil.risk import (
     RiskAversionProfile,
     risk_aversion_analytic,
     risk_aversion_numeric,
 )
-from maxentutil.solver import solve_equality, solve_interval
+from maxentutil.solver import log_partition, solve_equality, solve_interval
 from maxentutil.utility import density_to_curve
 
 CARA_LAMBDA = 0.960201509944503
@@ -128,6 +132,89 @@ def test_tabulated_with_slope_matches_power_route():
     a = risk_aversion_analytic(tab)
     b = risk_aversion_analytic(pow1)
     assert np.max(np.abs(a.gamma - b.gamma)) < 1e-8
+
+
+# ------------------------------------------------- analytic, by property
+
+@st.composite
+def indicator_edges(draw, support):
+    """A point of [a, b]: on a node, on a panel edge, strictly between two
+    nodes, or outside the node range (between an endpoint and its nearest
+    node, or the endpoint itself)."""
+    x, a, b = support.nodes, support.a, support.b
+    where = draw(st.sampled_from(["node", "panel", "between", "outside"]))
+    if where == "node":
+        return float(x[draw(st.integers(0, len(x) - 1))])
+    if where == "panel":
+        edges = support.panel_edges
+        return float(edges[draw(st.integers(0, len(edges) - 1))])
+    t = draw(st.floats(0.0, 1.0, exclude_max=where == "between"))
+    if where == "between":
+        k = draw(st.integers(0, len(x) - 2))
+        return float(x[k] + t * (x[k + 1] - x[k]))
+    return float(a + t * (x[0] - a)) if draw(st.booleans()) else float(b - t * (b - x[-1]))
+
+
+@st.composite
+def hand_built_solutions(draw):
+    """A solution built from drawn multipliers (no solve) on powers, a
+    tabulated row with a slope and 0-4 indicators on drawn edges."""
+    a, b = draw(st.sampled_from([(0.0, 1.0), (-1.0, 2.0)]))
+    support = Support.continuous(a, b, draw(st.sampled_from([16, 50, 70, 100])))
+    functions = [ConstraintFunction.power(d) for d in draw(st.sets(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        x = support.nodes
+        functions.append(ConstraintFunction.tabulated(np.sin(x), slope=np.cos(x)))
+    for _ in range(draw(st.integers(0, 4))):
+        lo, hi = sorted(draw(indicator_edges(support)) for _ in range(2))
+        assume(lo < hi)
+        functions.append(ConstraintFunction.indicator(lo, hi))
+    order = draw(st.permutations(range(len(functions))))
+    functions = [functions[j] for j in order]
+    m = len(functions)
+    lam = np.array(
+        draw(st.lists(
+            st.one_of(st.just(0.0), st.just(-0.0), st.floats(-3.0, 3.0)),
+            min_size=m, max_size=m,
+        )),
+        dtype=np.float64,
+    )
+    specs = tuple(ConstraintSpec.equality(f, 0.0) for f in functions)
+    lz = log_partition(support, functions, lam)
+    return MaxEntSolution(
+        support=support,
+        constraints=specs,
+        density=exponential_density(support, specs, lam, lz),
+        multipliers=lam,
+        log_partition=lz,
+        entropy=0.0,
+        diagnostics=SolverDiagnostics(
+            iterations=0, grad_max_norm=0.0, residuals=(0.0,) * m,
+            active_bounds=("eq",) * m, atoms=support.n,
+        ),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(hand_built_solutions())
+def test_analytic_profile_matches_the_per_constraint_formula(sol):
+    support = sol.support
+    keep = np.zeros(support.n, dtype=bool)
+    keep[1:-1] = True
+    for spec in sol.constraints:
+        keep &= ~spec.function.edge_mask(support)
+    idx = np.flatnonzero(keep)
+    terms = np.array(
+        [m_j * spec.function.derivative(support)[idx]
+         for m_j, spec in zip(sol.multipliers, sol.constraints)]
+    ).reshape(len(sol.constraints), len(idx))
+
+    prof = risk_aversion_analytic(sol)
+    assert np.array_equal(prof.node_indices, idx)
+    # Bit for bit, the sign of every zero included.
+    assert prof.terms.shape == terms.shape
+    assert prof.terms.tobytes() == terms.tobytes()
+    assert prof.gamma.tobytes() == terms.sum(axis=0).tobytes()
 
 
 # --------------------------------------------------------------- numeric

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,9 @@ from maxentutil.core import (
     ConstraintFunction,
     ConstraintSpec,
     InfeasibleError,
+    MaxEntSolution,
     Support,
+    ValidationError,
     validate_problem,
 )
 from maxentutil.solver import (
@@ -130,6 +133,57 @@ def test_solution_dominates_feasible_competitors():
 def test_solution_reconstructs_bit_for_bit():
     sol = solve_equality(Support.continuous(0.0, 5.0, 256), [_mean_spec(1.0)])
     assert np.array_equal(sol.rebuild_density(), sol.density)
+
+
+def _solved_fields():
+    """A solved problem's fields and its feature matrix, as the solver hands
+    them to MaxEntSolution."""
+    specs = [_mean_spec(1.2), ConstraintSpec.equality(ConstraintFunction.power(2), 2.5)]
+    sol = solve_equality(Support.continuous(0.0, 5.0, 256), specs)
+    fields = {f.name: getattr(sol, f.name) for f in dataclasses.fields(sol)}
+    return fields, validate_problem(sol.support, sol.constraints).features
+
+
+def test_solver_style_construction_rejects_a_density_off_by_one_part_in_1e9():
+    fields, H = _solved_fields()
+    MaxEntSolution(**fields, features=H)
+    density = np.array(fields["density"])
+    density[100] *= 1.0 + 1e-9
+    with pytest.raises(ValidationError, match="multipliers"):
+        MaxEntSolution(**{**fields, "density": density}, features=H)
+
+
+def test_solution_checks_against_the_passed_feature_matrix():
+    fields, H = _solved_fields()
+    swapped = np.ascontiguousarray(H[::-1])
+    with pytest.raises(ValidationError, match="multipliers"):
+        MaxEntSolution(**fields, features=swapped)
+
+
+@pytest.mark.parametrize("shape", ["transposed", "extra row", "short row", "flat"])
+def test_solution_rejects_a_feature_matrix_of_the_wrong_shape(shape):
+    fields, H = _solved_fields()
+    bad = {
+        "transposed": H.T,
+        "extra row": np.vstack([H, H[:1]]),
+        "short row": H[:, :-1],
+        "flat": H.ravel(),
+    }[shape]
+    with pytest.raises(ValidationError, match="one row per constraint"):
+        MaxEntSolution(**fields, features=bad)
+
+
+def test_solution_keeps_no_feature_matrix_and_replace_retabulates(monkeypatch):
+    sol = solve_equality(Support.continuous(0.0, 5.0, 256), [_mean_spec(1.0)])
+    assert "features" not in vars(sol)
+    calls = []
+    tabulate = ConstraintFunction.tabulate
+    monkeypatch.setattr(
+        ConstraintFunction, "tabulate", lambda f, s: calls.append(f) or tabulate(f, s)
+    )
+    copy = dataclasses.replace(sol)
+    assert calls == [sol.constraints[0].function]
+    assert np.array_equal(copy.density, sol.density)
 
 
 def test_entropy_equals_dual_value_at_optimum():
@@ -285,7 +339,7 @@ def test_jointly_unattainable_targets_underflow(support):
         ),
     ],
 )
-def test_solve_tabulates_each_constraint_at_most_twice(monkeypatch, solve, specs):
+def test_solve_tabulates_each_constraint_once(monkeypatch, solve, specs):
     calls = collections.Counter()
     tabulate = ConstraintFunction.tabulate
 
@@ -297,10 +351,9 @@ def test_solve_tabulates_each_constraint_at_most_twice(monkeypatch, solve, specs
     sol = solve(Support.continuous(0.0, 5.0, 1024), specs)
     # One Newton run: D at its start and after every accepted step.
     assert len(sol.diagnostics.dual_trace) == sol.diagnostics.iterations + 1
-    # Once for the problem's feature matrix, once for the solution's own
-    # reconstruction check.
-    assert set(calls) == {spec.function for spec in specs}
-    assert max(calls.values()) <= 2
+    # Once, for the problem's feature matrix; the solution's reconstruction
+    # check reads that matrix.
+    assert calls == {spec.function: 1 for spec in specs}
 
 
 # -------------------------------------------------------------------- atoms

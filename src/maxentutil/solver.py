@@ -266,22 +266,6 @@ def dual_state(
     )
 
 
-def _check_target_attainable(
-    function: ConstraintFunction, h_min: float, h_max: float, target: float
-) -> None:
-    """`h_min`, `h_max`: the range of `function` on the support's nodes."""
-    if h_min == h_max:
-        raise InfeasibleError(
-            f"constraint {function.label()} is constant on the support"
-        )
-    if target <= h_min or target >= h_max:
-        raise InfeasibleError(
-            f"target {target:g} for {function.label()} does not lie strictly "
-            f"inside the attainable range ({h_min:g}, {h_max:g}); the problem "
-            "is infeasible or degenerate"
-        )
-
-
 def _newton(
     H: NDArray[np.float64],
     w: NDArray[np.float64],
@@ -429,14 +413,21 @@ def _solve(problem: Problem, options: SolveOptions) -> MaxEntSolution:
     hi = np.array([s.equals if s.is_equality else s.bounds[1] for s in specs])
     h_min, h_max = H.min(axis=1), H.max(axis=1)
     for i, spec in enumerate(specs):
-        if spec.is_equality:
-            _check_target_attainable(spec.function, h_min[i], h_max[i], spec.equals)
-        elif lo[i] >= h_max[i] or hi[i] <= h_min[i]:
-            raise InfeasibleError(
-                f"interval [{lo[i]:g}, {hi[i]:g}] for {spec.function.label()} "
-                "cannot intersect the attainable range "
-                f"({h_min[i]:g}, {h_max[i]:g})"
-            )
+        # One rule per row: its bracket meets the open range (h_min, h_max),
+        # which puts an equality's target strictly inside.
+        if lo[i] < h_max[i] and hi[i] > h_min[i]:
+            continue
+        label = spec.function.label()
+        attainable = f"the attainable range ({h_min[i]:g}, {h_max[i]:g})"
+        if not spec.is_equality:
+            why = (f"interval [{lo[i]:g}, {hi[i]:g}] for {label} cannot "
+                   f"intersect {attainable}")
+        elif h_min[i] == h_max[i]:
+            why = f"constraint {label} is constant on the support"
+        else:
+            why = (f"target {lo[i]:g} for {label} does not lie strictly inside "
+                   f"{attainable}; the problem is infeasible or degenerate")
+        raise InfeasibleError(why)
 
     # Newton runs on the atoms; with none to merge it gets the grid's own
     # arrays.
@@ -457,11 +448,11 @@ def _solve(problem: Problem, options: SolveOptions) -> MaxEntSolution:
     if not np.all(density > 0.0):
         raise InfeasibleError(_UNDERFLOW)
     moment = (w * density) @ H.T
-    residuals = []
-    labels = []
+    residuals, labels = [], []
     for i, spec in enumerate(specs):
+        # The moment's distance to its bracket; an equality's miss.
+        residuals.append(moment[i] - min(max(moment[i], lo[i]), hi[i]))
         if spec.is_equality:
-            residuals.append(moment[i] - spec.equals)
             labels.append("eq")
             continue
         if moment[i] < lo[i] - tol or moment[i] > hi[i] + tol:
@@ -469,9 +460,6 @@ def _solve(problem: Problem, options: SolveOptions) -> MaxEntSolution:
                 f"interval constraint {spec.function.label()} violated after "
                 "Newton; the problem is infeasible or unbounded"
             )
-        residuals.append(
-            moment[i] - lo[i] if moment[i] < lo[i] else max(moment[i] - hi[i], 0.0)
-        )
         labels.append("hi" if lam[i] > 0.0 else "lo" if lam[i] < 0.0 else "slack")
 
     diagnostics = SolverDiagnostics(

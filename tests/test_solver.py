@@ -489,14 +489,14 @@ def test_dual_state_bundles_the_three_maps():
 
 @pytest.mark.parametrize("target", [-0.5, 0.0, 1.0, 2.0])
 def test_mean_outside_open_range_is_infeasible(target):
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(InfeasibleError, match=f"target {target:g} .* strictly inside"):
         solve_equality(Support.discrete([0.0, 1.0]), [_mean_spec(target)])
 
 
 def test_constant_constraint_function_is_infeasible():
     # An indicator covering the whole support pins nothing.
     spec = ConstraintSpec.equality(ConstraintFunction.indicator(0.0, 1.0), 0.9)
-    with pytest.raises(InfeasibleError, match="constant"):
+    with pytest.raises(InfeasibleError, match="constant on the support"):
         solve_equality(Support.continuous(0.0, 1.0, 64), [spec])
 
 
@@ -658,8 +658,22 @@ def test_interval_residuals_report_signed_violation_or_zero():
 
 def test_interval_range_checked_upfront():
     spec = ConstraintSpec.interval(ConstraintFunction.power(1), 2.0, 3.0)
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(InfeasibleError, match=r"interval \[2, 3\] .* cannot intersect"):
         solve_interval(Support.discrete([0.0, 1.0]), [spec])
+
+
+@pytest.mark.parametrize("target", [0.2, 0.7])
+def test_a_bracket_of_one_point_solves_as_the_equality(target):
+    s = Support.continuous(0.0, 1.0, 256)
+    power = ConstraintFunction.power(1)
+    eq = solve_interval(s, [ConstraintSpec.equality(power, target)])
+    pinned = solve_interval(s, [ConstraintSpec.interval(power, target, target)])
+    assert pinned.multipliers.tobytes() == eq.multipliers.tobytes()
+    assert pinned.diagnostics.residuals == eq.diagnostics.residuals
+    assert eq.diagnostics.active_bounds == ("eq",)
+    # Labelled by the multiplier's sign: a mean below 1/2 pins the upper
+    # bound (positive multiplier), one above it the lower bound.
+    assert pinned.diagnostics.active_bounds == ("hi" if target < 0.5 else "lo",)
 
 
 # ---------------------------------------------------------------- moments

@@ -152,6 +152,15 @@ def test_curve_evaluate_rejects_points_outside_support():
         curve.evaluate(np.array([0.5, 1.2]))
 
 
+def test_curve_evaluate_rejects_nan():
+    s = Support.continuous(0.0, 1.0, 64)
+    curve = density_to_curve(np.ones(s.n), s)
+    with pytest.raises(ValidationError, match="outside its support"):
+        curve.evaluate(float("nan"))
+    with pytest.raises(ValidationError, match="outside its support"):
+        curve.evaluate(np.array([0.5, float("nan")]))
+
+
 # -------------------------------------------------------- maxent utilities
 
 def test_maxent_utility_unconstrained_is_linear():
@@ -425,25 +434,27 @@ def test_spread_grows_with_outcome_count_for_even_vectors():
 
 # ------------------------------------------------------------- curve checks
 
-def test_curve_validation_rejects_mismatched_density():
+def test_curve_is_built_from_its_density_alone():
     s = Support.continuous(0.0, 1.0, 256)
-    good = density_to_curve(np.ones(s.n), s)
-    with pytest.raises(ValidationError, match="slope"):
-        UtilityCurve(
-            support=s,
-            density=np.full(s.n, 1.0),
-            curve=np.asarray(good.curve) ** 3,
-            edge_curve=None,
-        )
+    curve = UtilityCurve(s, 2.0 * s.nodes)
+    assert curve.edge_curve[0] == 0.0 and curve.edge_curve[-1] == 1.0
+    assert np.max(np.abs(curve.curve - s.nodes**2)) < 1e-14
+    assert np.max(np.abs(curve.edge_curve - s.panel_edges**2)) < 1e-14
+    with pytest.raises(TypeError):
+        UtilityCurve(s, np.ones(s.n), s.nodes)
 
 
-def test_curve_validation_rejects_a_slightly_scaled_curve():
-    # Scaled by 1 - 1e-6, the curve's slope is within 1e-6 of the density,
-    # but the curve is no longer the density's integral.
-    s = Support.continuous(0.0, 1.0, 256)
-    good = density_to_curve(np.ones(s.n), s)
-    with pytest.raises(ValidationError, match="cumulative integral"):
-        UtilityCurve(s, np.ones(s.n), np.asarray(good.curve) * (1.0 - 1e-6), None)
+@pytest.mark.parametrize("fraction", [0.3, 0.5, 0.7, 0.9])
+def test_curve_rejects_a_density_that_dips_inside_a_panel(fraction):
+    # A step strictly inside a panel is not polynomial there: the per-panel
+    # integral of a density that is 1e-9 below the step and 1 above it
+    # dips below zero before the step.
+    s = Support.continuous(0.0, 1.0, 64)
+    edges = s.panel_edges
+    step = edges[0] + fraction * (edges[1] - edges[0])
+    density = np.where(s.nodes < step, 1e-9, 1.0)
+    with pytest.raises(ValidationError, match="nondecreasing"):
+        density_to_curve(density / s.integrate(density), s)
 
 
 def test_curve_knots_are_exact_at_panel_edges():

@@ -58,7 +58,7 @@ from .solver import SolveOptions, solve_interval
 from .utility import (
     UtilityCurve,
     classify_family,
-    maxent_utility,
+    density_to_curve,
     maxent_utility_from_assessments,
 )
 
@@ -270,7 +270,13 @@ def _setting(*values):
     return next((v for v in values if v is not None), None)
 
 
-def _solve_spec(spec: SpecFile, args: argparse.Namespace) -> ResultBundle:
+def _solve_density(
+    spec: SpecFile, args: argparse.Namespace
+) -> tuple[MaxEntSolution, UtilityCurve | None]:
+    """The spec's solved density.  Assessed points come with their curve:
+    they are solved on a grid refined for it (see
+    :func:`maxent_utility_from_assessments`).  No other spec builds a curve
+    here."""
     if spec.domain is not None:
         nodes = _setting(getattr(args, "nodes", None), spec.nodes, 1024)
         support = Support.continuous(*spec.domain, n=nodes)
@@ -280,21 +286,22 @@ def _solve_spec(spec: SpecFile, args: argparse.Namespace) -> ResultBundle:
         tol=_setting(getattr(args, "tol", None), spec.tol),
         max_iter=_setting(getattr(args, "max_iter", None), spec.max_iter, 200),
     )
-    base = "base2" if getattr(args, "base2", False) else (spec.base or "natural")
-
-    curve = None
     if spec.assessments:
         curve, solution = maxent_utility_from_assessments(
             support, spec.assessments, options
         )
-    elif support.is_continuous:
-        curve, solution = maxent_utility(support, spec.constraints, options)
-    else:
-        solution = solve_interval(support, spec.constraints, options)
-    family = classify_family(solution.constraints)
+        return solution, curve
+    return solve_interval(support, spec.constraints, options), None
 
+
+def _solve_spec(spec: SpecFile, args: argparse.Namespace) -> ResultBundle:
+    solution, curve = _solve_density(spec, args)
+    base = "base2" if getattr(args, "base2", False) else (spec.base or "natural")
+    family = classify_family(solution.constraints)
     profile = None
     if solution.support.is_continuous:
+        if curve is None:
+            curve = density_to_curve(solution.density, solution.support)
         try:
             profile = risk_aversion_analytic(solution)
         except ValidationError:
@@ -338,8 +345,8 @@ def cmd_entropy(args: argparse.Namespace) -> int:
         spec = parse_spec_file(args.spec)
         if spec.base and not args.base2:
             base = spec.base
-        bundle = _solve_spec(spec, args)
-        value = EntropyValue(bundle.solution.entropy).in_base(base)
+        solution, _ = _solve_density(spec, args)
+        value = EntropyValue(solution.entropy).in_base(base)
     sys.stdout.write(f"{_fmt(value.value)} ({_UNIT[value.base]})\n")
     return 0
 

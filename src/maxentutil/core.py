@@ -524,7 +524,7 @@ class MaxEntSolution:
 
     The density at node x_i is exp(-log_partition - sum_j m_j h_j(x_i)) with
     multipliers m.  Construction re-derives the density from the multipliers
-    and rejects the solution if anything fails to line up:
+    by the solver's rule and rejects the solution if anything fails to line up:
 
     * density strictly positive at every node;
     * total mass 1 (sum for discrete, quadrature for continuous);
@@ -593,22 +593,26 @@ def exponential_density(
     log_partition: float,
 ) -> NDArray[np.float64]:
     """Density exp(-log_partition - sum_j m_j h_j(x)) at the support nodes,
-    with the constraint functions tabulated afresh.
-
-    The solver builds its final density through the same arithmetic
-    (:func:`_exponential_density`) on its problem's feature matrix, and
-    :class:`MaxEntSolution` checks it on that same matrix; a fresh
-    tabulation equals it, so a solution reconstructs bit-for-bit from its
-    own multipliers here too.
-    """
+    with the constraint functions tabulated afresh.  It takes the rule the
+    solver reports its density by (:func:`_exponential_density`), so a
+    solution reconstructs bit for bit from its own multipliers."""
     H = _feature_matrix(support, [spec.function for spec in constraints])
     return _exponential_density(H, multipliers, log_partition)
+
+
+def _shifted_exponent(
+    H: NDArray[np.float64], multipliers: NDArray[np.float64]
+) -> tuple[np.float64, NDArray[np.float64]]:
+    """(top, exp(e - top)) for the exponent e = -sum_j m_j h_j at the nodes,
+    top its maximum, so that e cannot overflow; no other code forms e."""
+    expo = -(multipliers @ H)
+    top = expo.max()
+    return top, np.exp(expo - top)
 
 
 def _exponential_density(
     H: NDArray[np.float64], multipliers: NDArray[np.float64], log_partition: float
 ) -> NDArray[np.float64]:
-    expo = np.full(H.shape[1], -float(log_partition))
-    for m_j, h in zip(multipliers, H):
-        expo -= float(m_j) * h
-    return np.exp(expo)
+    """The reported density: exp(e - top) scaled by exp(top - log_partition)."""
+    top, shifted = _shifted_exponent(H, multipliers)
+    return shifted * math.exp(top - log_partition)

@@ -12,12 +12,15 @@ and the multipliers m minimize the smooth convex dual
 whose gradient is b - E_m[h] and whose Hessian is the covariance matrix of
 the h_j under p.
 
-One kernel, :func:`_dual_kernel`, maps a feature matrix (one row per h_j,
-one column per node), the quadrature weights and the multipliers to log Z
-and the normalized density, in numpy with a max-shift so that large
-exponents do not overflow.  The public dual maps call it on a matrix they
-tabulate; the solver calls it on the matrix its :class:`Problem` tabulates
-once per solve.
+Only :func:`~maxentutil.core._shifted_exponent` forms the exponent
+-sum_j m_j h_j; it exponentiates it shifted by its maximum, top, so that it
+cannot overflow.  Newton and the dual maps (:func:`_dual_kernel`) divide that
+by the shifted Z: Newton's multipliers follow its density's last bits, and
+ill-conditioned 128-node problems moved by up to 1.3e-3 relative under the
+reported rule.  A solve takes log Z and its reported density from one
+exponent, scaled by exp(top - log Z) as :class:`MaxEntSolution` checks it, so
+the density carries log Z's rounding, not Z's: the uniform density on 128
+nodes of [0, 1] is 1, not 1.0000000000000002.
 
 There is one solve path, and it also takes interval targets
 lo <= E[h] <= hi.  Their dual is one convex function,
@@ -68,8 +71,8 @@ from .core import (
     SolverDiagnostics,
     Support,
     ValidationError,
-    _exponential_density,
     _feature_matrix,
+    _shifted_exponent,
     validate_problem,
 )
 from .entropy import differential_entropy, discrete_entropy
@@ -160,15 +163,9 @@ class DualState:
 def _dual_kernel(
     H: NDArray[np.float64], w: NDArray[np.float64], lam: NDArray[np.float64]
 ) -> tuple[float, NDArray[np.float64]]:
-    """log Z and the normalized node density p at multipliers lam.
-
-    Z = sum_i w_i exp(-sum_j lam_j H[j, i]).  The exponents are shifted by
-    their maximum before exponentiating, so magnitudes of several hundred
-    neither overflow nor lose the sum.
-    """
-    expo = -(lam @ H)
-    top = expo.max()
-    shifted = np.exp(expo - top)
+    """log Z and Newton's node density p = shifted / Z at multipliers lam,
+    with Z = sum_i w_i exp(-sum_j lam_j H[j, i]) (see the module docstring)."""
+    top, shifted = _shifted_exponent(H, lam)
     z = w @ shifted
     return float(top + np.log(z)), shifted / z
 
@@ -206,16 +203,14 @@ def log_partition(
     functions: Sequence[ConstraintFunction],
     multipliers: Sequence[float] | NDArray[np.float64],
 ) -> float:
-    """log of Z(m) = sum_i w_i exp(-sum_j m_j h_j(x_i)).
-
-    Evaluated with a max-shift inside the log-sum-exp, so exponents as large
-    as several hundred in magnitude do not overflow.
-    """
+    """log of Z(m) = sum_i w_i exp(-sum_j m_j h_j(x_i)), with a max-shift so
+    that exponents as large as several hundred in magnitude do not overflow."""
     lam = np.asarray(multipliers, dtype=np.float64)
     H = _feature_matrix(support, functions)
     if lam.shape != (H.shape[0],):
         raise ValidationError("one multiplier per constraint function is required")
-    return _dual_kernel(H, support.weights, lam)[0]
+    top, shifted = _shifted_exponent(H, lam)
+    return float(top + np.log(support.weights @ shifted))
 
 
 def dual_value(
@@ -443,8 +438,9 @@ def _solve(problem: Problem, options: SolveOptions) -> MaxEntSolution:
         options.max_iter,
     )
 
-    lz, _ = _dual_kernel(H, w, lam)
-    density = _exponential_density(H, lam, lz)
+    top, shifted = _shifted_exponent(H, lam)
+    lz = float(top + np.log(w @ shifted))
+    density = shifted * math.exp(top - lz)
     if not np.all(density > 0.0):
         raise InfeasibleError(_UNDERFLOW)
     moment = (w * density) @ H.T

@@ -216,6 +216,27 @@ def test_entropy_of_masses_matches_golden():
     assert float(value) == pytest.approx(expected, abs=1e-12)
 
 
+def test_entropy_of_a_spec_solves_the_density_alone(tmp_path, capsys):
+    # The indicator's lower edge lies inside a quadrature panel, so the
+    # density jumps there and its utility curve fails the nondecreasing
+    # check; the entropy needs no curve.
+    spec = tmp_path / "edge.spec"
+    spec.write_text(
+        "domain = 0 1\nnodes = 1024\nconstraint = indicator 0.5001 0.9 eq 0.95\n"
+    )
+    assert main(["entropy", str(spec)]) == 0
+    value, unit = capsys.readouterr().out.split()
+    assert unit == "(nats)"
+    # The maximum-entropy density is constant inside and outside the
+    # indicator's nodes, with mass v inside.
+    support = Support.continuous(0.0, 1.0, 1024)
+    x, w = support.nodes, support.weights
+    inside = float(w[(x >= 0.5001) & (x <= 0.9)].sum())
+    outside, v = float(w.sum()) - inside, 0.95
+    expected = -v * math.log(v / inside) - (1 - v) * math.log((1 - v) / outside)
+    assert float(value) == pytest.approx(expected, rel=1e-10)
+
+
 def test_entropy_requires_exactly_one_input():
     neither = run_cli("entropy")
     assert neither.returncode == 1

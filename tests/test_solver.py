@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -133,6 +134,46 @@ def test_solution_dominates_feasible_competitors():
 def test_solution_reconstructs_bit_for_bit():
     sol = solve_equality(Support.continuous(0.0, 5.0, 256), [_mean_spec(1.0)])
     assert np.array_equal(sol.rebuild_density(), sol.density)
+
+
+def _oracle_solutions():
+    yield solve_equality(
+        Support.continuous(-1.0, 1.0, 1024),
+        [_power_spec(k, t) for k, t in enumerate([0.1, 0.3, 0.02, 0.17], start=1)],
+    )
+    pinned = solve_interval(
+        Support.continuous(0.0, 5.0, 512),
+        [ConstraintSpec.interval(ConstraintFunction.power(1), 0.5, 1.0),
+         _power_spec(2, 2.0)],
+    )
+    assert pinned.diagnostics.active_bounds[0] == "hi"
+    yield pinned
+    yield solve_equality(
+        Support.discrete(np.linspace(0.0, 3.0, 40) ** 1.5),
+        [_power_spec(1, 1.8), _power_spec(2, 4.5)],
+    )
+    yield maxent_utility_from_assessments(
+        Support.continuous(0.0, 1.0, 1024),
+        [(0.1, 0.3), (0.3, 0.55), (0.6, 0.8), (0.85, 0.95)],
+    )[1]
+
+
+def test_density_matches_a_40_digit_evaluation_of_its_exponential_form():
+    """exp(-log Z - sum_j m_j h_j(x)) in decimal arithmetic, from the
+    solution's own doubles, is independent of the solver's arithmetic."""
+    eps = np.finfo(np.float64).eps
+    for sol in _oracle_solutions():
+        H = [s.function.tabulate(sol.support) for s in sol.constraints]
+        lz, lam = sol.log_partition, sol.multipliers.tolist()
+        n = sol.support.n
+        with decimal.localcontext(decimal.Context(prec=40)):
+            for i in np.unique(np.linspace(0, n - 1, 97).astype(int)).tolist():
+                terms = [decimal.Decimal(m) * decimal.Decimal(float(h[i]))
+                         for m, h in zip(lam, H)]
+                exact = (-decimal.Decimal(lz) - sum(terms)).exp()
+                rel = abs(decimal.Decimal(float(sol.density[i])) - exact) / exact
+                size = max(1.0, abs(lz) + float(sum(abs(t) for t in terms)))
+                assert float(rel) <= 8.0 * eps * size, (sol.support.kind, i, float(rel))
 
 
 def _solved_fields():

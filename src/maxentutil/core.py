@@ -508,6 +508,9 @@ class SolverDiagnostics:
             columns, each merged into one (the node count when none merge).
         dual_trace: dual objective at the start and after each accepted
             step, so it has iterations + 1 entries.
+        halvings: times the line search halved a step, over the solve.
+        ratio_stops: multipliers that accepted steps stopped at exactly
+            zero by the ratio test (a bracket leaving its bound).
     """
 
     iterations: int
@@ -516,6 +519,8 @@ class SolverDiagnostics:
     active_bounds: tuple[str, ...]
     atoms: int
     dual_trace: tuple[float, ...] = field(default=(), repr=False)
+    halvings: int = 0
+    ratio_stops: int = 0
 
 
 @dataclass(frozen=True, eq=False)

@@ -46,6 +46,16 @@ Newton works on the feature rows centered at their uniform-density means;
 the shift only moves log Z, and the reported log Z and density come from
 the uncentered matrix.
 
+A Newton step allocates nothing of size m x n: the covariance centers and
+weights its rows in one (2, m, n) workspace per solve.  glibc hands blocks
+that large back to the OS when they are freed, so temporaries allocated per
+step were faulted in again on every step (848 minor faults against 258 for
+an 8-step bracket solve on 8192 nodes, glibc 2.36).  The kernel's n-length
+temporaries stay per call: buffering them as well measured more faults per
+op and slower small solves.  The bracket bookkeeping runs on Python floats,
+once per step, because on a few rows a numpy call costs more than its
+arithmetic; it follows numpy's rules bit for bit (``np.clip``'s ties).
+
 Nodes with equal feature columns have equal density, so Newton runs on
 atoms: each run of equal adjacent columns becomes one column carrying the
 run's summed weight (an assessed utility on 8192 nodes has K+1 atoms, one
@@ -171,11 +181,27 @@ def _dual_kernel(
 
 
 def _covariance(
-    H: NDArray[np.float64], wp: NDArray[np.float64], mean: NDArray[np.float64]
+    H: NDArray[np.float64], wp: NDArray[np.float64], mean: NDArray[np.float64],
+    rows: list[int] | None = None, work: NDArray[np.float64] | None = None,
 ) -> NDArray[np.float64]:
-    """Covariance of the rows of H under node masses wp, symmetrized."""
-    cen = H - mean[:, None]
-    cov = (cen * wp) @ cen.T
+    """Covariance of the rows of H (those listed in ``rows``, or all) about
+    their ``mean`` under node masses wp, symmetrized.
+
+    The centered and the weighted rows go into ``work``, a (2, m, n) block,
+    allocated here when not given.  Newton passes one per solve: glibc hands
+    m x n temporaries back to the OS when they are freed, and every step
+    faulted them in again.  (The kernel's n-length temporaries are not
+    buffered; that measured worse.)"""
+    k = H.shape[0] if rows is None else len(rows)
+    work = np.empty((2, k, H.shape[1])) if work is None else work
+    cen, weighted = work[0, :k], work[1, :k]
+    if rows is None:
+        np.subtract(H, mean[:, None], out=cen)
+    else:
+        for r, j in enumerate(rows):
+            np.subtract(H[j], mean[j], out=cen[r])
+    np.multiply(cen, wp, out=weighted)
+    cov = weighted @ cen.T
     return 0.5 * (cov + cov.T)
 
 
@@ -261,6 +287,48 @@ def dual_state(
     )
 
 
+def _bracket_rows(
+    lam: list[float], mom: list[float], lo: list[float], hi: list[float],
+    bracket: list[bool],
+) -> tuple[list[float], list[int], list[int]]:
+    """A step's bracket bookkeeping on Python floats (see :func:`_newton`):
+    the gradient, a tie going to the bound as in ``np.clip``; the rows that
+    enter the step; and the positions among those of the rows at zero."""
+    g, kept, zero = [], [], []
+    for j, (l, x, a, b, is_bracket) in enumerate(zip(lam, mom, lo, hi, bracket)):
+        g.append(min(a if l < 0.0 else b, max(b if l > 0.0 else a, x)) - x)
+        if is_bracket and l == 0.0:
+            if g[j] == 0.0:
+                continue
+            zero.append(len(kept))
+        kept.append(j)
+    return g, kept, zero
+
+
+def _leaving(zero: list[int], step: list[float], g: list[float]) -> list[int]:
+    """The rows at zero whose step would leave their target's side."""
+    return [r for r in zero if step[r] * g[r] > 0.0]
+
+
+def _ratio_test(
+    lam: list[float], direction: list[float], bracket: list[bool]
+) -> tuple[float, list[int]]:
+    """The step, at most 1, at which a bracket multiplier first reaches zero,
+    and the rows that reach it there."""
+    ratio = {j: -l / d for j, (l, d, br) in enumerate(zip(lam, direction, bracket))
+             if br and l * d < 0.0}
+    step = min([1.0, *ratio.values()])
+    return step, [j for j, r in ratio.items() if r <= step]
+
+
+def _newton_state(steps: int, gnorm: float, lam: NDArray[np.float64]) -> str:
+    """Where Newton stopped, for its errors: on a line of its own, so that
+    the first line still names the cause alone."""
+    values = ", ".join(f"{v:.6g}" for v in lam.tolist())
+    return (f"\nat Newton step {steps}: gradient max-norm {gnorm:.6g}, "
+            f"multipliers [{values}]")
+
+
 def _newton(
     H: NDArray[np.float64],
     w: NDArray[np.float64],
@@ -270,11 +338,12 @@ def _newton(
     h_size: NDArray[np.float64],
     tol: float,
     max_iter: int,
-) -> tuple[NDArray[np.float64], int, float, tuple[float, ...]]:
+) -> tuple[NDArray[np.float64], int, float, tuple[float, ...], int, int]:
     """Damped Newton descent on the bracket dual
     D(lam) = log Z(lam) + sum_j max(lam_j lo_j, lam_j hi_j) from ``lam0``.
-    Returns the multipliers, the accepted steps, the final gradient max-norm
-    and D at the start and after every accepted step.
+    Returns the multipliers, the accepted steps, the final gradient max-norm,
+    D at the start and after every accepted step, the line search's
+    halvings and the multipliers its accepted steps stopped at zero.
 
     A row with lo < hi is a bracket.  Its target is the bound its
     multiplier's sign names (hi if positive, lo if negative); at zero it is
@@ -287,37 +356,42 @@ def _newton(
     scale of D's rounding."""
     m = H.shape[0]
     lam = np.array(lam0, dtype=np.float64)
-    bracket = lo < hi
-    any_bracket = bool(bracket.any())
+    bracket = (lo < hi).tolist()
+    any_bracket = any(bracket)
+    lows, highs = lo.tolist(), hi.tolist()
     lz, p = _dual_kernel(H, w, lam)
     here = lz + float(lam @ np.where(lam > 0.0, hi, lo))
     trace = [here]
     if m == 0:
-        return lam, 0, 0.0, tuple(trace)
-    for it in range(max_iter):
+        return lam, 0, 0.0, tuple(trace), 0, 0
+    work = np.empty((2, m, H.shape[1]))
+    halvings = ratio_stops = 0
+    for it in range(max_iter + 1):
         wp = w * p
         mom = wp @ H.T
-        g, rows = lo - mom, slice(None)
+        rows, zero = None, []
         if any_bracket:
-            # The target is the bound the multiplier's sign names; at zero
-            # it is the moment clipped into the bracket.
-            low, high = np.where(lam > 0.0, hi, lo), np.where(lam < 0.0, lo, hi)
-            g = np.clip(mom, low, high) - mom
-            at_zero = bracket & (lam == 0.0)
-            # A row held at zero by its bracket stays out of the step and
-            # of the covariance.
-            inside = at_zero & (g == 0.0)
-            if inside.any():
-                rows = ~inside
-            zero_rows = at_zero[rows]
+            lams = lam.tolist()
+            g_list, kept, zero = _bracket_rows(lams, mom.tolist(), lows, highs, bracket)
+            g = np.array(g_list)
+            if len(kept) < m:
+                # A row held at zero by its bracket stays out of the step
+                # and of the covariance.
+                rows = kept
+        else:
+            g = lo - mom
         gnorm = float(abs(g).max())
+        if it and not p.min() > 0.0:
+            raise InfeasibleError(_UNDERFLOW + _newton_state(it, gnorm, lam))
         if gnorm <= tol:
-            return lam, it, gnorm, tuple(trace)
-        hess = _covariance(H[rows], wp, mom[rows])
+            return lam, it, gnorm, tuple(trace), halvings, ratio_stops
+        if it == max_iter:
+            break
+        hess = _covariance(H, wp, mom, rows, work)
         var = hess.diagonal()
         if not (var > 0.0).all():
-            raise InfeasibleError(_SINGULAR)
-        g_rows = g[rows]
+            raise InfeasibleError(_SINGULAR + _newton_state(it, gnorm, lam))
+        g_rows = g if rows is None else g[rows]
         held = np.zeros(len(g_rows), dtype=bool)
         while True:
             # Newton on the Hessian scaled to a unit diagonal: the scaling
@@ -331,51 +405,48 @@ def _newton(
             try:
                 inv = np.linalg.inv(np.linalg.cholesky(scaled))
             except np.linalg.LinAlgError:
-                raise InfeasibleError(_SINGULAR) from None
+                state = _newton_state(it, gnorm, lam)
+                raise InfeasibleError(_SINGULAR + state) from None
             step_rows = -s * (inv.T @ (inv @ (s * g_rows)))
-            if not any_bracket:
-                break
             # A row at zero whose step would leave its target's side.
-            away = zero_rows & (step_rows * g_rows > 0.0)
-            if not away.any():
+            away = zero and _leaving(zero, step_rows.tolist(), g_rows.tolist())
+            if not away:
                 break
-            held |= away
-        direction = np.zeros(m)
-        direction[rows] = step_rows
-        step = 1.0
+            held[away] = True
+        direction = step_rows
+        if rows is not None:
+            direction = np.zeros(m)
+            direction[rows] = step_rows
+        step, stops = 1.0, []
         if any_bracket:
-            # The ratio test: the step at which each multiplier heading for
-            # zero reaches it.
-            ratio = np.full(m, np.inf)
-            crossing = bracket & (lam * direction < 0.0)
-            ratio[crossing] = -lam[crossing] / direction[crossing]
-            step = min(1.0, float(ratio.min()))
+            step, stops = _ratio_test(lams, direction.tolist(), bracket)
         allowance = _ARMIJO_ROUNDING * max(1.0, abs(here), float(np.abs(lam) @ h_size))
         while True:
             trial, bound = lam + step * direction, lo
             if any_bracket:
-                # Only the first trial can reach a ratio-test stop.
-                trial[ratio <= step] = 0.0
+                trial[stops] = 0.0
                 bound = np.where(trial > 0.0, hi, lo)
             lz, p = _dual_kernel(H, w, trial)
             value = lz + float(trial @ bound)
             # Written so that a NaN value is rejected too.
             if value <= here + _ARMIJO_SLOPE * float(g @ (trial - lam)) + allowance:
                 break
-            step *= 0.5
+            # Only the first trial can reach a ratio-test stop.
+            step, stops = 0.5 * step, []
+            halvings += 1
             # Stalled once the step no longer moves the multipliers (or,
             # for a direction that is not finite, once it underflows).
             if step == 0.0 or (lam + step * direction == lam).all():
                 raise InfeasibleError(
                     "line search stalled; the problem is infeasible or unbounded"
+                    + _newton_state(it, gnorm, lam)
                 )
         lam, here = trial, value
         trace.append(here)
-        if not p.min() > 0.0:
-            raise InfeasibleError(_UNDERFLOW)
+        ratio_stops += len(stops)
     raise InfeasibleError(
         f"no convergence to tolerance {tol:g} in {max_iter} iterations; "
-        "the problem is infeasible or unbounded"
+        "the problem is infeasible or unbounded" + _newton_state(max_iter, gnorm, lam)
     )
 
 
@@ -433,7 +504,7 @@ def _solve(problem: Problem, options: SolveOptions) -> MaxEntSolution:
     # differently.
     Hc = np.subtract(Ha, center[:, None], order="C")
     hc_size = np.maximum(h_max - center, center - h_min)
-    lam, iters, gnorm, trace = _newton(
+    lam, iters, gnorm, trace, halvings, ratio_stops = _newton(
         Hc, wa, lo - center, hi - center, np.zeros(len(specs)), hc_size, tol,
         options.max_iter,
     )
@@ -465,6 +536,8 @@ def _solve(problem: Problem, options: SolveOptions) -> MaxEntSolution:
         active_bounds=tuple(labels),
         atoms=Ha.shape[1],
         dual_trace=tuple(trace),
+        halvings=halvings,
+        ratio_stops=ratio_stops,
     )
     return MaxEntSolution(
         support=support,

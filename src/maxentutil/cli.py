@@ -25,12 +25,13 @@ which flushes stdout and stderr and ends the process with `os._exit`: no
 `main(argv)`, which returns the exit status instead.
 
 All numbers are printed with `%.17g`, so the table parses back bit for
-bit.  On one numpy/BLAS build, identical inputs produce byte-identical
-output from run to run.  Across builds the last bits of a number may move
-(numpy's `exp`, BLAS reductions, LAPACK's quadrature nodes, and numpy's
-`pow`, whose SIMD and libm versions differ by 1 ulp at 193-245 of 8192
-nodes on [-1, 1]): numbers agree within rel 1e-12 / abs 1e-14, and
-formatting and text are identical.
+bit.  The table is formatted one run of same-shaped rows at a time, byte
+for byte what `%.17g` per value gives.  On one numpy/BLAS build, identical
+inputs produce byte-identical output from run to run.  Across builds the
+last bits of a number may move (numpy's `exp`, BLAS reductions, LAPACK's
+quadrature nodes, and numpy's `pow`, whose SIMD and libm versions differ
+by 1 ulp at 193-245 of 8192 nodes on [-1, 1]): numbers agree within
+rel 1e-12 / abs 1e-14, and formatting and text are identical.
 """
 
 from __future__ import annotations
@@ -248,20 +249,32 @@ class ResultBundle:
         return "\n".join(lines) + "\n"
 
     def table_text(self) -> str:
+        """The `x,u,U,gamma` table, one `%` per run of rows that have (or
+        lack) a gamma value; `U` is empty throughout without a curve."""
         s = self.solution
         n = s.support.n
-
-        def column(values) -> list[str]:
-            return [_fmt(v) for v in values.tolist()]
-
-        curve_col = column(self.curve.curve) if self.curve is not None else [""] * n
-        gamma_col = [""] * n
+        cols = [s.support.nodes, s.density]
+        head = "%.17g,%.17g,,"
+        if self.curve is not None:
+            cols.append(self.curve.curve)
+            head = "%.17g,%.17g,%.17g,"
+        width = len(cols)
+        kept = np.zeros(n, dtype=bool)
         if self.profile is not None:
             p = self.profile
-            for i, g in zip(p.node_indices.tolist(), column(p.gamma)):
-                gamma_col[i] = g
-        rows = zip(column(s.support.nodes), column(s.density), curve_col, gamma_col)
-        return "\n".join(["x,u,U,gamma", *map(",".join, rows)]) + "\n"
+            kept[p.node_indices] = True
+            gamma = np.zeros(n)
+            gamma[p.node_indices] = p.gamma
+            cols.append(gamma)
+        table = np.column_stack(cols)
+        bounds = [0, *(np.flatnonzero(np.diff(kept)) + 1).tolist(), n]
+        parts = ["x,u,U,gamma\n"]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            on = bool(kept[lo])
+            row = head + ("%.17g\n" if on else "\n")
+            block = table[lo:hi, : width + on]
+            parts.append((row * (hi - lo)) % tuple(block.ravel().tolist()))
+        return "".join(parts)
 
 
 def _setting(*values):

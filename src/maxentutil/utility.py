@@ -285,6 +285,11 @@ def maxent_utility_from_assessments(
     Newton iteration as any other moment problem.  The solution is constant
     between consecutive assessment points.  The returned curve and solution
     live on the refined grid, which may be finer than the one passed in.
+
+    Each point moves to the nearest panel edge of that grid, by at most half
+    a panel: (b - a)/512 at the 8192-node ceiling, where refinement stops.
+    Nothing reports the move.  So a 128-node support may come back with
+    8192 nodes, and the CLI then prints 8192 table rows.
     """
     if not support.is_continuous:
         raise ValidationError("utility curves need a continuous support")

@@ -1,14 +1,18 @@
+import argparse
 import csv
 import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from maxentutil.cli import main
+from maxentutil import cli
+from maxentutil.cli import ResultBundle, main
 from maxentutil.core import Support
 from maxentutil.entropy import differential_entropy
 
@@ -395,3 +399,160 @@ def test_csv_floats_roundtrip_exactly(tmp_path):
         rows = list(csv.DictReader(fh))
     u = np.array([float(r["u"]) for r in rows])
     assert np.array_equal(u, np.ones(128))
+
+
+# ------------------------------------------------------------------- table
+
+def per_value_table(bundle: ResultBundle) -> str:
+    """The table as one `f"{v:.17g}"` per value: the oracle for the
+    run-at-a-time formatter."""
+    s, n = bundle.solution, bundle.solution.support.n
+
+    def column(values):
+        return [f"{v:.17g}" for v in values.tolist()]
+
+    curve = column(bundle.curve.curve) if bundle.curve is not None else [""] * n
+    gamma = [""] * n
+    if bundle.profile is not None:
+        p = bundle.profile
+        for i, g in zip(p.node_indices.tolist(), column(p.gamma)):
+            gamma[i] = g
+    rows = zip(column(s.support.nodes), column(s.density), curve, gamma)
+    return "\n".join(["x,u,U,gamma", *map(",".join, rows)]) + "\n"
+
+
+def first_mismatch(got: str, want: str):
+    """None when the texts agree, else the first line where they differ.
+    A short failure message: pytest's diff of two long tables would take
+    minutes for every example hypothesis shrinks."""
+    if got == want:
+        return None
+    a, b = got.split("\n"), want.split("\n")
+    i = next((i for i, (p, q) in enumerate(zip(a, b)) if p != q), min(len(a), len(b)))
+    return i, a[i : i + 1], b[i : i + 1]
+
+
+def stand_in(cols, kept, shape):
+    """A ResultBundle over plain columns.  `shape` is "gamma" (curve and
+    profile), "curve" (no profile) or "discrete" (neither)."""
+    x, u, U, g = cols
+    solution = types.SimpleNamespace(
+        support=types.SimpleNamespace(n=len(x), nodes=x), density=u
+    )
+    curve = None if shape == "discrete" else types.SimpleNamespace(curve=U)
+    profile = None
+    if shape == "gamma":
+        idx = np.flatnonzero(kept)
+        profile = types.SimpleNamespace(node_indices=idx, gamma=g[idx])
+    return ResultBundle(solution, "custom", "natural", curve, profile)
+
+
+DOUBLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308, 1.0, -3.0]),
+    st.integers(-(2**53), 2**53).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(2, 300))
+    # Cells drawn from a small pool of values: drawing 4n doubles one by one
+    # would cost seconds per example.
+    pool = np.array(draw(st.lists(DOUBLES, min_size=1, max_size=24)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = pool[rng.integers(0, len(pool), (4, n))]
+    # Alternating runs of kept and masked rows, repeated to length n.
+    runs = draw(st.lists(st.integers(1, 40), min_size=1, max_size=10))
+    first = draw(st.booleans())
+    kept = np.resize(
+        np.repeat([(first + j) % 2 == 1 for j in range(len(runs))], runs), n
+    )
+    shape = draw(st.sampled_from(["gamma", "curve", "discrete"]))
+    return cols, kept, shape
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(tables())
+def test_table_is_byte_identical_to_per_value_formatting(table):
+    bundle = stand_in(*table)
+    assert first_mismatch(bundle.table_text(), per_value_table(bundle)) is None
+
+
+MASKS = {
+    "none masked": [1, 1, 1, 1, 1, 1, 1, 1],
+    "first row masked": [0, 1, 1, 1, 1, 1, 1, 1],
+    "last row masked": [1, 1, 1, 1, 1, 1, 1, 0],
+    "both ends masked": [0, 1, 1, 1, 1, 1, 1, 0],
+    "middle stretch masked": [1, 1, 0, 0, 0, 1, 1, 1],
+    "adjacent stretches masked": [1, 0, 1, 0, 0, 1, 0, 1],
+    "all masked": [0, 0, 0, 0, 0, 0, 0, 0],
+}
+
+
+@pytest.mark.parametrize("shape", ["gamma", "curve", "discrete"])
+@pytest.mark.parametrize("mask", MASKS.values(), ids=MASKS.keys())
+def test_table_masks_each_run_of_rows(mask, shape):
+    rng = np.random.default_rng(7)
+    cols = rng.normal(size=(4, len(mask))) * 10.0 ** rng.integers(-300, 300, (4, len(mask)))
+    cols[:, 0] = [-0.0, 0.0, 5e-324, 1e308]
+    bundle = stand_in(cols, np.array(mask, dtype=bool), shape)
+    assert first_mismatch(bundle.table_text(), per_value_table(bundle)) is None
+
+
+def ramp(n):
+    return " ".join(f"{i / n!r}" for i in range(n))
+
+
+TABLE_SPECS = {
+    **{p.stem: p.read_text() for p in sorted(DATA.glob("*.spec"))
+       if p.stem not in ("bad_key", "infeasible")},
+    "interval 8192": "domain = 0 1\nnodes = 8192\nconstraint = power 1 in 0.7 0.9\n",
+    "indicator": "domain = 0 2\nnodes = 1024\n"
+                 "constraint = indicator 0.5 1.25 eq 0.3\nconstraint = power 1 eq 0.9\n",
+    "tabulated": f"domain = 0 1\nnodes = 16\nconstraint = tabulated {ramp(16)} eq 0.55\n",
+}
+
+
+@pytest.mark.parametrize("name", TABLE_SPECS)
+def test_solved_table_is_byte_identical_to_per_value_formatting(tmp_path, name):
+    path = tmp_path / "table.spec"
+    path.write_text(TABLE_SPECS[name])
+    bundle = cli._solve_spec(cli.parse_spec_file(str(path)), argparse.Namespace())
+    if name == "indicator":
+        # A masked stretch around each edge, in the middle of the table.
+        gaps = np.flatnonzero(np.diff(bundle.profile.node_indices) > 1)
+        assert len(gaps) == 2
+    if name == "tabulated":
+        assert bundle.profile is None  # no slope, so no gamma at all
+    assert first_mismatch(bundle.table_text(), per_value_table(bundle)) is None
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_solve_formats_summary_and_table_once(tmp_path, capsys, monkeypatch, to_file):
+    # The benchmark's tracer wraps both methods and expects each reached
+    # once per solve, with the table written as table_text returns it.
+    calls = {"summary_text": [], "table_text": []}
+    for name in calls:
+        method = getattr(ResultBundle, name)
+
+        def counted(self, _method=method, _name=name):
+            text = _method(self)
+            calls[_name].append(text)
+            return text
+
+        monkeypatch.setattr(ResultBundle, name, counted)
+    argv = ["solve", str(DATA / "cara.spec")]
+    out = tmp_path / "table.csv"
+    if to_file:
+        argv += ["--out", str(out)]
+    assert main(argv) == 0
+    assert [len(c) for c in calls.values()] == [1, 1]
+    (summary,), (table,) = calls.values()
+    stdout = capsys.readouterr().out
+    if to_file:
+        assert stdout == summary
+        assert out.read_bytes().decode() == table
+    else:
+        assert stdout == summary + "\n" + table

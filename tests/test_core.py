@@ -246,6 +246,37 @@ def test_power_rows_are_plain_pow_on_non_negative_nodes(support, d):
         assert np.array_equal(fn.derivative(support), d * x ** (d - 1))
 
 
+def _signed_rule(x, d):
+    # The |x|**d rule with the sign put back, for every support.
+    out = np.abs(x) ** d
+    return np.copysign(out, x) if d % 2 else out
+
+
+@pytest.mark.parametrize(
+    "support",
+    [
+        Support.continuous(0.0, 1.0, 1024),
+        Support.continuous(0.0, 5.0, 8192),
+        Support.discrete([-0.0, 0.25, 1.0, 3.5]),
+        Support.discrete([0.0, 1e-300, 2.0]),
+        Support.continuous(-1.0, 1.0, 8192),
+    ],
+    ids=["[0, 1]", "[0, 5]", "from -0.0", "from 0.0", "[-1, 1]"],
+)
+@pytest.mark.parametrize("d", _DEGREES)
+def test_power_rows_are_bit_identical_to_the_signed_rule(support, d):
+    # Non-negative nodes take plain x**d; it must give the same bits,
+    # signed zeros included.
+    x = support.nodes
+    fn = ConstraintFunction.power(d)
+    want = _signed_rule(x, d)
+    got = fn.tabulate(support)
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.writeable and not np.shares_memory(got, x)
+    if d > 1:
+        assert fn.derivative(support).tobytes() == (d * _signed_rule(x, d - 1)).tobytes()
+
+
 def test_first_power_row_is_a_fresh_writable_array():
     s = Support.continuous(-1.0, 1.0, 64)
     h = ConstraintFunction.power(1).tabulate(s)

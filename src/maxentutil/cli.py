@@ -11,10 +11,12 @@ repeat one per line:
     constraint = tabulated v1 ... vn eq 0.3
 
 Assessed utility points use `assessment = x v` lines instead; a spec that
-mixes constraints and assessments is rejected.  `tol`, `max_iter`, `base`
-(natural or base2) and `out` may be set in the file and are overridden by
-the corresponding command-line flags.  Only `constraint` and `assessment`
-lines repeat; any other key given twice is an error.
+mixes constraints and assessments is rejected.  `nodes`, `tol`,
+`max_iter`, `base` (natural or base2) and `out` may be set in the file; a
+command-line flag that is given (a zero is) overrides its key, before the
+spec's rules run, so they hold for flags too: `--nodes` on a `points` spec
+fails as `nodes = N` does.  Only `constraint` and `assessment` lines
+repeat; any other key given twice is an error.
 
 Exit status: 0 on convergence, 1 for parse or validation problems, output
 that cannot be written, or a stdout pipe whose reader has gone away, 2 when
@@ -78,7 +80,8 @@ def _fmt(v: float) -> str:
 
 @dataclass
 class SpecFile:
-    """Everything a spec file can say, before it becomes a problem."""
+    """Everything a spec file can say (and the flags laid over it), before
+    it becomes a problem."""
 
     domain: tuple[float, float] | None = None
     nodes: int | None = None
@@ -91,121 +94,116 @@ class SpecFile:
     out: str | None = None
 
 
-def _fail(lineno: int, message: str) -> None:
-    raise ValidationError(f"line {lineno}: {message}")
+def _number(kind: type, text: str, message: str) -> float:
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValidationError(message) from None
 
 
-def _floats(tokens: list[str], lineno: int, what: str) -> list[float]:
+def _floats(tokens: list[str], what: str) -> list[float]:
     try:
         return [float(t) for t in tokens]
     except ValueError:
-        _fail(lineno, f"{what} expects numbers, got {' '.join(tokens)!r}")
+        raise ValidationError(
+            f"{what} expects numbers, got {' '.join(tokens)!r}"
+        ) from None
 
 
-def _parse_constraint(tokens: list[str], lineno: int) -> ConstraintSpec:
+def _parse_constraint(tokens: list[str]) -> ConstraintSpec:
     if not tokens:
-        _fail(lineno, "empty constraint")
+        raise ValidationError("empty constraint")
     kind = tokens[0]
-    split = None
-    for marker in ("eq", "in"):
-        if marker in tokens:
-            split = tokens.index(marker)
-            break
+    split = next((tokens.index(m) for m in ("eq", "in") if m in tokens), None)
     if split is None:
-        _fail(lineno, "constraint needs a target: 'eq value' or 'in lo hi'")
+        raise ValidationError("constraint needs a target: 'eq value' or 'in lo hi'")
     params, marker, target = tokens[1:split], tokens[split], tokens[split + 1 :]
 
-    try:
-        if kind == "power":
-            if len(params) != 1:
-                _fail(lineno, "power takes one degree")
-            fn = ConstraintFunction.power(int(params[0]))
-        elif kind == "indicator":
-            if len(params) != 2:
-                _fail(lineno, "indicator takes two edges")
-            lo, hi = _floats(params, lineno, "indicator")
-            fn = ConstraintFunction.indicator(lo, hi)
-        elif kind == "tabulated":
-            fn = ConstraintFunction.tabulated(_floats(params, lineno, "tabulated"))
-        else:
-            _fail(lineno, f"unknown constraint kind {kind!r}")
-    except ValueError:
-        _fail(lineno, "power degree must be an integer")
-    except ValidationError as exc:
-        _fail(lineno, str(exc))
+    if kind == "power":
+        if len(params) != 1:
+            raise ValidationError("power takes one degree")
+        degree = _number(int, params[0], "power degree must be an integer")
+        fn = ConstraintFunction.power(degree)
+    elif kind == "indicator":
+        if len(params) != 2:
+            raise ValidationError("indicator takes two edges")
+        fn = ConstraintFunction.indicator(*_floats(params, "indicator"))
+    elif kind == "tabulated":
+        fn = ConstraintFunction.tabulated(_floats(params, "tabulated"))
+    else:
+        raise ValidationError(f"unknown constraint kind {kind!r}")
 
-    values = _floats(target, lineno, "target")
-    try:
-        if marker == "eq":
-            if len(values) != 1:
-                _fail(lineno, "'eq' takes one target value")
-            return ConstraintSpec.equality(fn, values[0])
-        if len(values) != 2:
-            _fail(lineno, "'in' takes a lower and an upper bound")
-        return ConstraintSpec.interval(fn, values[0], values[1])
-    except ValidationError as exc:
-        _fail(lineno, str(exc))
+    values = _floats(target, "target")
+    if marker == "eq":
+        if len(values) != 1:
+            raise ValidationError("'eq' takes one target value")
+        return ConstraintSpec.equality(fn, values[0])
+    if len(values) != 2:
+        raise ValidationError("'in' takes a lower and an upper bound")
+    return ConstraintSpec.interval(fn, values[0], values[1])
+
+
+def _parse_line(spec: SpecFile, line: str) -> None:
+    if "=" not in line:
+        raise ValidationError("expected 'key = value'")
+    key, _, value = line.partition("=")
+    key, value = key.strip(), value.strip()
+    tokens = value.split()
+    if key in _ONCE and getattr(spec, key) is not None:
+        raise ValidationError(f"{key} already set")
+
+    if key == "domain":
+        if len(tokens) != 2:
+            raise ValidationError("domain takes two endpoints")
+        spec.domain = tuple(_floats(tokens, "domain"))
+    elif key == "points":
+        spec.points = tuple(_floats(tokens, "points"))
+    elif key in ("nodes", "max_iter"):
+        setattr(spec, key, _number(int, value, f"{key} expects an integer"))
+    elif key == "tol":
+        spec.tol = _number(float, value, "tol expects a number")
+    elif key == "constraint":
+        spec.constraints.append(_parse_constraint(tokens))
+    elif key == "assessment":
+        if len(tokens) != 2:
+            raise ValidationError("assessment takes a point and a value")
+        spec.assessments.append(tuple(_floats(tokens, "assessment")))
+    elif key == "base":
+        if value not in _UNIT:
+            raise ValidationError("base must be 'natural' or 'base2'")
+        spec.base = value
+    elif key == "out":
+        spec.out = value
+    else:
+        raise ValidationError(f"unknown key {key!r}")
 
 
 def parse_spec_file(path: str) -> SpecFile:
-    """Read a spec file; all failures carry their line number."""
-    spec = SpecFile()
+    """Read a spec file; each failure names its line number once."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read spec file: {exc}") from None
-
+    spec = SpecFile()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            _fail(lineno, "expected 'key = value'")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        tokens = value.split()
-        if key in _ONCE and getattr(spec, key) is not None:
-            _fail(lineno, f"{key} already set")
+        if line:
+            try:
+                _parse_line(spec, line)
+            except ValidationError as exc:
+                raise ValidationError(f"line {lineno}: {exc}") from None
+    return spec
 
-        if key == "domain":
-            if len(tokens) != 2:
-                _fail(lineno, "domain takes two endpoints")
-            a, b = _floats(tokens, lineno, "domain")
-            spec.domain = (a, b)
-        elif key == "points":
-            spec.points = tuple(_floats(tokens, lineno, "points"))
-        elif key == "nodes":
-            try:
-                spec.nodes = int(value)
-            except ValueError:
-                _fail(lineno, "nodes expects an integer")
-        elif key == "constraint":
-            spec.constraints.append(_parse_constraint(tokens, lineno))
-        elif key == "assessment":
-            if len(tokens) != 2:
-                _fail(lineno, "assessment takes a point and a value")
-            x, v = _floats(tokens, lineno, "assessment")
-            spec.assessments.append((x, v))
-        elif key == "tol":
-            try:
-                spec.tol = float(value)
-            except ValueError:
-                _fail(lineno, "tol expects a number")
-        elif key == "max_iter":
-            try:
-                spec.max_iter = int(value)
-            except ValueError:
-                _fail(lineno, "max_iter expects an integer")
-        elif key == "base":
-            if value not in _UNIT:
-                _fail(lineno, "base must be 'natural' or 'base2'")
-            spec.base = value
-        elif key == "out":
-            spec.out = value
-        else:
-            _fail(lineno, f"unknown key {key!r}")
 
+def _checked_spec(args: argparse.Namespace) -> SpecFile:
+    """The spec file with every given flag laid over it (a zero is given),
+    then checked by the rules between keys, for flags as for the file."""
+    spec = parse_spec_file(args.spec)
+    for key in _ONCE:  # every flag that sets a spec key is one of these
+        flag = vars(args).get(key)
+        if flag is not None:
+            setattr(spec, key, flag)
     if (spec.domain is None) == (spec.points is None):
         raise ValidationError("spec needs exactly one of 'domain' or 'points'")
     if spec.constraints and spec.assessments:
@@ -277,28 +275,18 @@ class ResultBundle:
         return "".join(parts)
 
 
-def _setting(*values):
-    """The first value that is set (flag, spec file, default).  A zero is
-    set, so the validators see it."""
-    return next((v for v in values if v is not None), None)
-
-
-def _solve_density(
-    spec: SpecFile, args: argparse.Namespace
-) -> tuple[MaxEntSolution, UtilityCurve | None]:
+def _solve_density(spec: SpecFile) -> tuple[MaxEntSolution, UtilityCurve | None]:
     """The spec's solved density.  Assessed points come with their curve:
     they are solved on a grid refined for it (see
     :func:`maxent_utility_from_assessments`).  No other spec builds a curve
     here."""
     if spec.domain is not None:
-        nodes = _setting(getattr(args, "nodes", None), spec.nodes, 1024)
+        nodes = 1024 if spec.nodes is None else spec.nodes
         support = Support.continuous(*spec.domain, n=nodes)
     else:
         support = Support.discrete(spec.points)
-    options = SolveOptions(
-        tol=_setting(getattr(args, "tol", None), spec.tol),
-        max_iter=_setting(getattr(args, "max_iter", None), spec.max_iter, 200),
-    )
+    max_iter = 200 if spec.max_iter is None else spec.max_iter
+    options = SolveOptions(tol=spec.tol, max_iter=max_iter)
     if spec.assessments:
         curve, solution = maxent_utility_from_assessments(
             support, spec.assessments, options
@@ -307,9 +295,8 @@ def _solve_density(
     return solve_interval(support, spec.constraints, options), None
 
 
-def _solve_spec(spec: SpecFile, args: argparse.Namespace) -> ResultBundle:
-    solution, curve = _solve_density(spec, args)
-    base = "base2" if getattr(args, "base2", False) else (spec.base or "natural")
+def _solve_spec(spec: SpecFile) -> ResultBundle:
+    solution, curve = _solve_density(spec)
     family = classify_family(solution.constraints)
     profile = None
     if solution.support.is_continuous:
@@ -320,19 +307,19 @@ def _solve_spec(spec: SpecFile, args: argparse.Namespace) -> ResultBundle:
         except ValidationError:
             profile = None  # tabulated constraints without a slope
     return ResultBundle(
-        solution=solution, family=family, base=base, curve=curve, profile=profile
+        solution=solution, family=family, base=spec.base or "natural",
+        curve=curve, profile=profile,
     )
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    spec = parse_spec_file(args.spec)
-    bundle = _solve_spec(spec, args)
-    out_path = args.out or spec.out
+    spec = _checked_spec(args)
+    bundle = _solve_spec(spec)
     if not args.quiet:
         sys.stdout.write(bundle.summary_text())
     table = bundle.table_text()
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    if spec.out:
+        with open(spec.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(table)
     else:
         if not args.quiet:
@@ -341,25 +328,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_masses(text: str) -> np.ndarray:
-    try:
-        return np.array([float(t) for t in text.replace(",", " ").split()])
-    except ValueError:
-        raise ValidationError(f"--masses expects numbers, got {text!r}") from None
-
-
 def cmd_entropy(args: argparse.Namespace) -> int:
-    base = "base2" if args.base2 else "natural"
     if (args.spec is None) == (args.masses is None):
         raise ValidationError("entropy needs a spec file or --masses, not both")
     if args.masses is not None:
-        value = discrete_entropy(_parse_masses(args.masses), base)
+        masses = _floats(args.masses.replace(",", " ").split(), "--masses")
+        value = discrete_entropy(masses, args.base or "natural")
     else:
-        spec = parse_spec_file(args.spec)
-        if spec.base and not args.base2:
-            base = spec.base
-        solution, _ = _solve_density(spec, args)
-        value = EntropyValue(solution.entropy).in_base(base)
+        spec = _checked_spec(args)
+        solution, _ = _solve_density(spec)
+        value = EntropyValue(solution.entropy).in_base(spec.base or "natural")
     sys.stdout.write(f"{_fmt(value.value)} ({_UNIT[value.base]})\n")
     return 0
 
@@ -376,7 +354,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--tol", type=float, default=None, help="residual tolerance")
     solve.add_argument("--max-iter", type=int, default=None, dest="max_iter")
     solve.add_argument("--nodes", type=int, default=None, help="quadrature nodes")
-    solve.add_argument("--base2", action="store_true", help="report entropy in bits")
+    solve.add_argument("--base2", action="store_const", const="base2", dest="base",
+                       help="report entropy in bits")
     solve.add_argument("--out", default=None, help="write the table to this file")
     solve.add_argument("--quiet", action="store_true", help="suppress the summary")
     solve.set_defaults(func=cmd_solve)
@@ -387,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     entropy.add_argument("--tol", type=float, default=None)
     entropy.add_argument("--max-iter", type=int, default=None, dest="max_iter")
     entropy.add_argument("--nodes", type=int, default=None)
-    entropy.add_argument("--base2", action="store_true")
+    entropy.add_argument("--base2", action="store_const", const="base2", dest="base")
     entropy.set_defaults(func=cmd_entropy)
     return parser
 

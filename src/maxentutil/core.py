@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
 __all__ = [
     "MaxentError",
@@ -459,6 +459,18 @@ def _feature_matrix(
     return H
 
 
+def _features_and_multipliers(
+    support: Support, functions: Sequence[ConstraintFunction], multipliers: ArrayLike
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """The feature matrix, and the multipliers as a vector checked to hold one
+    per row: every map that takes multipliers from a caller checks them here."""
+    lam = np.asarray(multipliers, dtype=np.float64)
+    H = _feature_matrix(support, functions)
+    if lam.shape != (H.shape[0],):
+        raise ValidationError("one multiplier per constraint function is required")
+    return H, lam
+
+
 @dataclass(frozen=True)
 class Problem:
     """A support with validated constraints, ready for the solver."""
@@ -605,8 +617,10 @@ def exponential_density(
     with the constraint functions tabulated afresh.  It takes the rule the
     solver reports its density by (:func:`_exponential_density`), so a
     solution reconstructs bit for bit from its own multipliers."""
-    H = _feature_matrix(support, [spec.function for spec in constraints])
-    return _exponential_density(H, multipliers, log_partition)
+    H, lam = _features_and_multipliers(
+        support, [spec.function for spec in constraints], multipliers
+    )
+    return _exponential_density(H, lam, log_partition)
 
 
 def _shifted_exponent(

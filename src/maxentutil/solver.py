@@ -82,6 +82,7 @@ from .core import (
     Support,
     ValidationError,
     _feature_matrix,
+    _features_and_multipliers,
     _shifted_exponent,
     validate_problem,
 )
@@ -218,8 +219,10 @@ def _moments_at(
     multipliers: Sequence[float] | NDArray[np.float64],
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
     """Feature matrix, node masses w*p and moments E[h] at the multipliers."""
-    H = _feature_matrix(support, [s.function for s in constraints])
-    _, p = _dual_kernel(H, support.weights, np.asarray(multipliers, dtype=np.float64))
+    H, lam = _features_and_multipliers(
+        support, [s.function for s in constraints], multipliers
+    )
+    _, p = _dual_kernel(H, support.weights, lam)
     wp = support.weights * p
     return H, wp, wp @ H.T
 
@@ -231,10 +234,7 @@ def log_partition(
 ) -> float:
     """log of Z(m) = sum_i w_i exp(-sum_j m_j h_j(x_i)), with a max-shift so
     that exponents as large as several hundred in magnitude do not overflow."""
-    lam = np.asarray(multipliers, dtype=np.float64)
-    H = _feature_matrix(support, functions)
-    if lam.shape != (H.shape[0],):
-        raise ValidationError("one multiplier per constraint function is required")
+    H, lam = _features_and_multipliers(support, functions, multipliers)
     top, shifted = _shifted_exponent(H, lam)
     return float(top + np.log(support.weights @ shifted))
 

@@ -1,4 +1,3 @@
-import argparse
 import csv
 import math
 import os
@@ -289,6 +288,53 @@ def test_missing_spec_file_exits_one():
     assert "cannot read spec file" in res.stderr
 
 
+def test_spec_file_that_is_not_utf8_exits_one(tmp_path):
+    spec = tmp_path / "latin1.spec"
+    spec.write_bytes(b"domain = 0 1\n# caf\xe9\n")
+    res = run_cli("solve", str(spec))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: cannot read spec file:")
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "constraint, message",
+    [
+        ("power 1 2 eq 1", "power takes one degree"),
+        ("indicator 0.5 eq 0.3", "indicator takes two edges"),
+        ("indicator 0.2 x eq 0.3", "indicator expects numbers"),
+        ("tabulated 0.1 y eq 0.3", "tabulated expects numbers"),
+        ("cubic 3 eq 0.3", "unknown constraint kind 'cubic'"),
+        ("power 1 eq 0.3 0.4", "'eq' takes one target value"),
+        ("power 1 in 0.3", "'in' takes a lower and an upper bound"),
+    ],
+)
+def test_constraint_line_error_names_its_line_once(tmp_path, capsys, constraint, message):
+    spec = tmp_path / "bad.spec"
+    spec.write_text(f"domain = 0 1\nconstraint = {constraint}\n")
+    assert main(["solve", str(spec)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line 2: {message}")
+    assert err.count("line 2:") == 1
+
+
+@pytest.mark.parametrize(
+    "support_line, flags",
+    [("points = 0 1", ["--nodes", "64"]), ("points = 0 1", ["--nodes", "0"]),
+     ("points = 0 1\nnodes = 64", [])],
+)
+def test_nodes_on_a_discrete_spec_exits_one_from_flag_or_file(
+    tmp_path, capsys, support_line, flags
+):
+    # Flags are laid over the spec before its rules run.
+    spec = tmp_path / "coin.spec"
+    spec.write_text(f"{support_line}\nconstraint = power 1 eq 0.75\n")
+    assert main(["solve", str(spec), *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: 'nodes' applies only to a continuous domain\n"
+
+
 def test_mixed_styles_are_rejected(tmp_path):
     spec = tmp_path / "mixed.spec"
     spec.write_text(
@@ -519,7 +565,7 @@ TABLE_SPECS = {
 def test_solved_table_is_byte_identical_to_per_value_formatting(tmp_path, name):
     path = tmp_path / "table.spec"
     path.write_text(TABLE_SPECS[name])
-    bundle = cli._solve_spec(cli.parse_spec_file(str(path)), argparse.Namespace())
+    bundle = cli._solve_spec(cli.parse_spec_file(str(path)))
     if name == "indicator":
         # A masked stretch around each edge, in the middle of the table.
         gaps = np.flatnonzero(np.diff(bundle.profile.node_indices) > 1)

@@ -21,6 +21,7 @@ from maxentutil.core import (
     MaxEntSolution,
     Support,
     ValidationError,
+    exponential_density,
     validate_problem,
 )
 from maxentutil import solver
@@ -624,6 +625,30 @@ def test_dual_state_bundles_the_three_maps():
     state = dual_state(support, specs, np.array([0.0]))
     assert state.gradient[0] == pytest.approx(0.25, abs=1e-15)
     assert state.hessian[0, 0] == pytest.approx(0.25, abs=1e-15)
+
+
+DUAL_MAPS = {
+    "log_partition": lambda sup, specs, lam: log_partition(
+        sup, [s.function for s in specs], lam
+    ),
+    "dual_value": dual_value,
+    "dual_gradient": dual_gradient,
+    "dual_hessian": dual_hessian,
+    "dual_state": dual_state,
+    "exponential_density": lambda sup, specs, lam: exponential_density(
+        sup, specs, lam, 0.0
+    ),
+}
+
+
+@pytest.mark.parametrize("lam", [[], [0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]]],
+                         ids=["none", "too few", "too many", "a matrix"])
+@pytest.mark.parametrize("name", DUAL_MAPS)
+def test_dual_maps_reject_a_multiplier_vector_of_the_wrong_shape(name, lam):
+    support = Support.discrete([0.0, 0.5, 1.0])
+    specs = [_mean_spec(0.6), ConstraintSpec.equality(ConstraintFunction.power(2), 0.4)]
+    with pytest.raises(ValidationError, match="one multiplier per constraint function"):
+        DUAL_MAPS[name](support, specs, np.array(lam))
 
 
 # -------------------------------------------------------------- infeasible

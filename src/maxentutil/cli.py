@@ -16,7 +16,9 @@ mixes constraints and assessments is rejected.  `nodes`, `tol`,
 command-line flag that is given (a zero is) overrides its key, before the
 spec's rules run, so they hold for flags too: `--nodes` on a `points` spec
 fails as `nodes = N` does.  Only `constraint` and `assessment` lines
-repeat; any other key given twice is an error.
+repeat; any other key given twice is an error.  `entropy --masses` runs no
+solve and takes only `--base2`; `--nodes`, `--tol` or `--max-iter` with it
+is an input error.
 
 Exit status: 0 on convergence, 1 for parse or validation problems, output
 that cannot be written, or a stdout pipe whose reader has gone away, 2 when
@@ -332,6 +334,16 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     if (args.spec is None) == (args.masses is None):
         raise ValidationError("entropy needs a spec file or --masses, not both")
     if args.masses is not None:
+        # These set up a solve, and --masses runs none.
+        solve_flags = [
+            "--" + key.replace("_", "-")
+            for key in ("nodes", "tol", "max_iter")
+            if vars(args)[key] is not None
+        ]
+        if solve_flags:
+            raise ValidationError(
+                f"--masses takes only --base2, not {', '.join(solve_flags)}"
+            )
         masses = _floats(args.masses.replace(",", " ").split(), "--masses")
         value = discrete_entropy(masses, args.base or "natural")
     else:

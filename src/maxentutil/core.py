@@ -78,6 +78,14 @@ def _readonly(a: NDArray, dtype: type = np.float64) -> NDArray:
     return a
 
 
+def _integer(value, message: str) -> int:
+    """``value`` as a plain int: Python and numpy integers pass, bools and
+    every other type (floats, strings) raise ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(message)
+    return int(value)
+
+
 def _power(x: NDArray[np.float64], degree: int) -> NDArray[np.float64]:
     """x**degree in a fresh array, computed as |x|**degree with the sign of x
     put back for odd degrees.
@@ -139,7 +147,9 @@ class Support:
     Attributes:
         kind: ``"discrete"`` or ``"continuous"``.
         a, b: interval endpoints (continuous only).
-        n: number of nodes (grid size, or the number of discrete points).
+        n: number of nodes (grid size, or the number of discrete points);
+            an int (numpy integers are stored as int; bools and floats
+            raise ValidationError).
         points: the discrete points (discrete only), strictly increasing.
     """
 
@@ -150,6 +160,7 @@ class Support:
     points: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _integer(self.n, "node count must be an integer"))
         if self.kind == "discrete":
             if self.points is None or len(self.points) < 2:
                 raise ValidationError("discrete support needs at least 2 points")
@@ -181,7 +192,7 @@ class Support:
 
     @classmethod
     def continuous(cls, a: float, b: float, n: int = DEFAULT_NODES) -> "Support":
-        return cls(kind="continuous", a=float(a), b=float(b), n=int(n))
+        return cls(kind="continuous", a=float(a), b=float(b), n=n)
 
     @property
     def is_continuous(self) -> bool:
@@ -293,10 +304,11 @@ class ConstraintFunction:
 
     def __post_init__(self) -> None:
         if self.kind == "power":
-            d = self.degree
-            if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
-                raise ValidationError("power degree must be a positive integer")
-            object.__setattr__(self, "degree", int(d))
+            message = "power degree must be a positive integer"
+            d = _integer(self.degree, message)
+            if d < 1:
+                raise ValidationError(message)
+            object.__setattr__(self, "degree", d)
         elif self.kind == "indicator":
             if self.lower is None or self.upper is None:
                 raise ValidationError("indicator needs both edges")

@@ -83,6 +83,7 @@ from .core import (
     ValidationError,
     _feature_matrix,
     _features_and_multipliers,
+    _integer,
     _shifted_exponent,
     validate_problem,
 )
@@ -135,10 +136,9 @@ class SolveOptions:
     def __post_init__(self) -> None:
         if self.tol is not None and not 0.0 < self.tol < math.inf:
             raise ValidationError("tol must be positive and finite")
-        n = self.max_iter
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValidationError("max_iter must be an integer")
-        if self.max_iter < 1:
+        n = _integer(self.max_iter, "max_iter must be an integer")
+        object.__setattr__(self, "max_iter", n)
+        if n < 1:
             raise ValidationError("max_iter must be at least 1")
 
     def resolve_tol(self, support: Support) -> float:

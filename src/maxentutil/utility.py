@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +27,7 @@ from .core import (
     ConstraintSpec,
     Support,
     ValidationError,
+    _integer,
     _readonly,
 )
 from .solver import MaxEntSolution, SolveOptions, solve_equality, solve_interval
@@ -51,6 +52,9 @@ INCREMENT_SUM_TOL = 1e-12
 SNAP_FRACTION = 1.0 / 4096.0
 #: Grid-size ceiling for assessment refinement.
 MAX_ASSESSMENT_NODES = 8192
+#: Refined grids kept for reuse across assessed solves (least recently
+#: used dropped first).
+REFINED_GRID_CACHE = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,6 +243,22 @@ def maxent_utility(
     return density_to_curve(solution.density, support), solution
 
 
+@lru_cache(maxsize=REFINED_GRID_CACHE)
+def _refined_grid(a: float, b: float, n: int) -> Support:
+    """The n-node grid on [a, b], built once per process and shared by every
+    assessed solve that refines to it.
+
+    Supports are frozen and their node and weight arrays read-only, so
+    sharing one is safe.  Refined levels stay below twice
+    MAX_ASSESSMENT_NODES, so the cache holds at most about
+    REFINED_GRID_CACHE x 16 382 nodes (two float64 arrays each, about 8 MB).
+    The key treats -0.0 and 0.0 as one endpoint; both give bit-identical
+    edges, nodes and weights, and only the shared support's ``a`` keeps the
+    sign of the first caller's.
+    """
+    return Support.continuous(a, b, n)
+
+
 def _refined_support(
     support: Support, xs: NDArray[np.float64]
 ) -> tuple[Support, NDArray[np.float64]]:
@@ -248,19 +268,20 @@ def _refined_support(
     worst snap error is below (b - a)/4096 or the node ceiling (8192) is
     reached.  Indicator edges must line up with quadrature panels for the
     solved density, the curve, and the assessed values to agree to 1e-6.
+    The first level is ``support`` itself; the doubled ones come from
+    :func:`_refined_grid`.
     """
     a, b = support.lower, support.upper
     limit = (b - a) * SNAP_FRACTION
-    n = support.n
+    trial = support
     while True:
-        trial = Support.continuous(a, b, n)
         edges = trial.panel_edges
         idx = np.argmin(np.abs(edges[None, :] - xs[:, None]), axis=1)
         snapped = edges[idx]
         err = float(np.max(np.abs(snapped - xs)))
         interior = np.all(idx > 0) and np.all(idx < len(edges) - 1)
         distinct = len(set(idx.tolist())) == len(idx)
-        if (err <= limit and interior and distinct) or n >= MAX_ASSESSMENT_NODES:
+        if (err <= limit and interior and distinct) or trial.n >= MAX_ASSESSMENT_NODES:
             if not interior:
                 raise ValidationError(
                     "assessment point collapses onto a support endpoint"
@@ -270,7 +291,7 @@ def _refined_support(
                     "assessment points collapse onto the same grid cell"
                 )
             return trial, snapped
-        n *= 2
+        trial = _refined_grid(a, b, 2 * trial.n)
 
 
 def maxent_utility_from_assessments(
@@ -290,6 +311,11 @@ def maxent_utility_from_assessments(
     a panel: (b - a)/512 at the 8192-node ceiling, where refinement stops.
     Nothing reports the move.  So a 128-node support may come back with
     8192 nodes, and the CLI then prints 8192 table rows.
+
+    Each refined grid is built once per process for its domain and node
+    count and may be shared between calls (see :func:`_refined_grid` for
+    the cache's memory bound); a call that needs no refinement returns
+    ``support`` itself.
     """
     if not support.is_continuous:
         raise ValidationError("utility curves need a continuous support")
@@ -323,9 +349,11 @@ def utility_volume(outcomes: int) -> float:
     K outcomes form the ordered simplex of dimension K - 2, whose volume is
     1/(K - 2)!.
     """
-    if not isinstance(outcomes, int) or outcomes < 3:
-        raise ValidationError("volume needs an integer outcome count >= 3")
-    return 1.0 / math.factorial(outcomes - 2)
+    message = "volume needs an integer outcome count >= 3"
+    k = _integer(outcomes, message)
+    if k < 3:
+        raise ValidationError(message)
+    return 1.0 / math.factorial(k - 2)
 
 
 def classify_family(constraints: Sequence[ConstraintSpec]) -> str:

@@ -350,6 +350,22 @@ def test_bad_masses_exit_one():
     assert res.returncode == 1
 
 
+@pytest.mark.parametrize(
+    "flags,named",
+    [
+        (["--nodes", "3"], "--nodes"),
+        (["--tol", "0"], "--tol"),
+        (["--max-iter", "-5"], "--max-iter"),
+        (["--nodes", "3", "--tol", "0", "--max-iter", "-5"], "--nodes, --tol, --max-iter"),
+    ],
+)
+def test_solve_flags_with_masses_exit_one(capsys, flags, named):
+    assert main(["entropy", "--masses", "0.5,0.5", *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --masses takes only --base2, not {named}\n"
+
+
 # ------------------------------------------------------------------ process
 
 @pytest.mark.parametrize(

@@ -148,6 +148,24 @@ def test_continuous_support_rejects_bad_bounds(a, b, n):
         Support.continuous(a, b, n)
 
 
+@pytest.mark.parametrize("n", [1000.7, 64.0, "64", True, np.bool_(True), None])
+def test_support_node_count_must_be_an_integer(n):
+    with pytest.raises(ValidationError, match="node count must be an integer"):
+        Support.continuous(0.0, 1.0, n)
+    with pytest.raises(ValidationError, match="node count must be an integer"):
+        Support(kind="continuous", a=0.0, b=1.0, n=n)
+    with pytest.raises(ValidationError, match="node count must be an integer"):
+        Support(kind="discrete", points=(0.0, 1.0), n=n)
+
+
+def test_support_stores_a_numpy_integer_node_count_as_int():
+    s = Support.continuous(0.0, 1.0, np.int64(64))
+    assert type(s.n) is int
+    assert s == Support.continuous(0.0, 1.0, 64)
+    assert np.array_equal(s.nodes, Support.continuous(0.0, 1.0, 64).nodes)
+    assert type(Support(kind="discrete", points=(0.0, 1.0), n=np.int32(2)).n) is int
+
+
 def test_cumulative_rejected_on_discrete_support():
     s = Support.discrete([0.0, 1.0])
     with pytest.raises(ValidationError):

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxentutil.core import Support, ValidationError
 from maxentutil.entropy import (
+    ZERO_MASS_FLOOR,
     EntropyValue,
+    _neg_xlogx,
     differential_entropy,
     discrete_entropy,
     entropy_of_increments,
@@ -145,6 +148,35 @@ def test_zero_density_regions_contribute_nothing():
     p = np.where(s.nodes <= mid, 1.0 / mid, 0.0)
     expected = math.log(mid)
     assert abs(_hd(p, s) - expected) < 1e-10
+
+
+def _masked_neg_xlogx(p):
+    """-p log p on the entries above the floor, exact zeros elsewhere."""
+    out = np.zeros_like(p)
+    big = p > ZERO_MASS_FLOOR
+    out[big] = -p[big] * np.log(p[big])
+    return out
+
+
+_MASSES = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, ZERO_MASS_FLOOR),
+    st.floats(0.0, np.finfo(np.float64).tiny, exclude_max=True),  # subnormals
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1e3),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(_MASSES, min_size=1, max_size=64))
+def test_neg_xlogx_matches_the_masked_formula(masses):
+    p = np.array(masses)
+    got, want = _neg_xlogx(p), _masked_neg_xlogx(p)
+    # Equal entry by entry; a masked entry may come out as -0.0.
+    assert np.array_equal(got, want)
+    nonzero = want != 0.0
+    assert got[nonzero].tobytes() == want[nonzero].tobytes()
+    assert got.sum().tobytes() == want.sum().tobytes()
 
 
 # --------------------------------------------------------------- increments

@@ -23,6 +23,7 @@ from maxentutil.utility import (
     maxent_utility,
     maxent_utility_from_assessments,
     utility_volume,
+    _refined_grid,
 )
 
 # Multiplier of the mean-1 exponential family on [0, 5]; see test_solver.py
@@ -273,6 +274,63 @@ def test_an_assessment_near_the_edge_survives_a_vanishing_variance():
     assert curve.evaluate(edge) == pytest.approx(v, abs=1e-8)
 
 
+def _assessed_bits(curve, sol) -> list[bytes]:
+    """Every number an assessed solve reports, as raw bytes."""
+    arrays = (
+        sol.density, sol.multipliers, sol.support.nodes, sol.support.weights,
+        sol.support.panel_edges, curve.curve, curve.edge_curve, curve.density,
+        [sol.entropy, sol.log_partition],
+        [c.function.upper for c in sol.constraints],
+    )
+    return [np.asarray(a, dtype=np.float64).tobytes() for a in arrays]
+
+
+def test_a_repeated_assessed_call_reuses_its_refined_grids():
+    assessments = [(0.3, 0.4), (0.7, 0.9)]
+    _refined_grid.cache_clear()
+    first = maxent_utility_from_assessments(
+        Support.continuous(0.0, 1.0, 128), assessments
+    )
+    built = _refined_grid.cache_info()
+    assert built.misses > 0 and built.hits == 0
+    second = maxent_utility_from_assessments(
+        Support.continuous(0.0, 1.0, 128), assessments
+    )
+    reused = _refined_grid.cache_info()
+    assert reused.misses == built.misses
+    assert reused.hits == built.misses
+    assert second[0].support is first[0].support
+    assert _assessed_bits(*second) == _assessed_bits(*first)
+    # The same numbers as a solve on a grid built afresh at the refined size.
+    fresh = Support.continuous(0.0, 1.0, first[1].support.n)
+    sol = solve_equality(fresh, first[1].constraints)
+    assert _assessed_bits(density_to_curve(sol.density, fresh), sol) == (
+        _assessed_bits(*first)
+    )
+
+
+@pytest.mark.parametrize("n", [8192, 10000])
+def test_a_start_grid_at_the_ceiling_adds_no_cache_entry(n):
+    _refined_grid.cache_clear()
+    s = Support.continuous(0.0, 1.0, n)
+    curve, sol = maxent_utility_from_assessments(s, [(0.3, 0.4)])
+    assert sol.support is s
+    assert _refined_grid.cache_info().currsize == 0
+
+
+def test_a_domain_from_negative_zero_gives_the_numbers_of_one_from_zero():
+    assessments = [(0.3, 0.4)]
+    runs = []
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        _refined_grid.cache_clear()
+        for a in (first, second):
+            s = Support.continuous(a, 1.0, 128)
+            runs.append(_assessed_bits(*maxent_utility_from_assessments(s, assessments)))
+        # The second domain found the first's grids: one key for both zeros.
+        assert _refined_grid.cache_info().hits > 0
+    assert all(bits == runs[0] for bits in runs)
+
+
 @pytest.mark.parametrize(
     "assessments",
     [
@@ -381,6 +439,13 @@ def test_utility_volume_closed_form():
 def test_utility_volume_rejects_small_counts():
     with pytest.raises(ValidationError):
         utility_volume(2)
+
+
+def test_utility_volume_takes_integers_by_the_package_rule():
+    assert utility_volume(np.int64(5)) == utility_volume(5)
+    for bad in (True, 5.0, "5", np.bool_(True)):
+        with pytest.raises(ValidationError):
+            utility_volume(bad)
 
 
 # ----------------------------------------------------------- classification

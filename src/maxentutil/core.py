@@ -22,11 +22,13 @@ import itertools
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import lru_cache, cached_property
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
-from numpy.typing import ArrayLike, NDArray
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike, NDArray
 
 __all__ = [
     "MaxentError",
@@ -84,6 +86,19 @@ def _integer(value, message: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(message)
     return int(value)
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite real number: Python and numpy integers
+    and floats are; bools and every other type (strings, None) are not."""
+    if isinstance(value, bool) or not isinstance(
+        value, (float, int, np.floating, np.integer)
+    ):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _power(x: NDArray[np.float64], degree: int) -> NDArray[np.float64]:
@@ -165,17 +180,17 @@ class Support:
             if self.points is None or len(self.points) < 2:
                 raise ValidationError("discrete support needs at least 2 points")
             arr = np.asarray(self.points, dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValidationError("support points must be finite")
-            if not np.all(np.diff(arr) > 0):
+            if not (np.diff(arr) > 0).all():
                 raise ValidationError("support points must be strictly increasing")
             if self.n != len(self.points):
                 raise ValidationError("discrete support size disagrees with its points")
         elif self.kind == "continuous":
             if self.a is None or self.b is None:
                 raise ValidationError("continuous support needs bounds a and b")
-            if not (math.isfinite(self.a) and math.isfinite(self.b)):
-                raise ValidationError("support bounds must be finite")
+            if not (_finite(self.a) and _finite(self.b)):
+                raise ValidationError("support bounds must be finite real numbers")
             if not self.a < self.b:
                 raise ValidationError("continuous support requires a < b")
             if self.n < MIN_CONTINUOUS_NODES:
@@ -312,15 +327,15 @@ class ConstraintFunction:
         elif self.kind == "indicator":
             if self.lower is None or self.upper is None:
                 raise ValidationError("indicator needs both edges")
-            if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-                raise ValidationError("indicator edges must be finite")
+            if not (_finite(self.lower) and _finite(self.upper)):
+                raise ValidationError("indicator edges must be finite real numbers")
             if not self.lower < self.upper:
                 raise ValidationError("indicator requires lower < upper")
         elif self.kind == "tabulated":
             if self.values is None or len(self.values) == 0:
                 raise ValidationError("tabulated constraint needs values")
-            if not all(math.isfinite(v) for v in self.values):
-                raise ValidationError("tabulated values must be finite")
+            if not all(map(_finite, self.values)):
+                raise ValidationError("tabulated values must be finite real numbers")
             if self.slope is not None and len(self.slope) != len(self.values):
                 raise ValidationError("tabulated slope must match values in length")
         else:
@@ -437,12 +452,12 @@ class ConstraintSpec:
             raise ValidationError(
                 "constraint needs exactly one of an equality target or bounds"
             )
-        if self.equals is not None and not math.isfinite(self.equals):
-            raise ValidationError("equality target must be finite")
+        if self.equals is not None and not _finite(self.equals):
+            raise ValidationError("equality target must be a finite real number")
         if self.bounds is not None:
             lo, hi = self.bounds
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValidationError("interval bounds must be finite")
+            if not (_finite(lo) and _finite(hi)):
+                raise ValidationError("interval bounds must be finite real numbers")
             if lo > hi:
                 raise ValidationError("interval target requires lo <= hi")
 
@@ -588,7 +603,7 @@ class MaxEntSolution:
             raise ValidationError("solution density needs one value per node")
         if self.multipliers.shape != (m,):
             raise ValidationError("solution needs one multiplier per constraint")
-        if not np.all(self.density > 0.0):
+        if not (self.density > 0.0).all():
             raise ValidationError("solution density must be strictly positive")
         mass = self.support.integrate(self.density)
         tol = MASS_TOL_CONTINUOUS if self.support.is_continuous else MASS_TOL_DISCRETE
@@ -604,7 +619,7 @@ class MaxEntSolution:
                 "per node"
             )
         rebuilt = _exponential_density(H, self.multipliers, self.log_partition)
-        rel = np.max(np.abs(rebuilt - self.density) / self.density)
+        rel = (np.abs(rebuilt - self.density) / self.density).max()
         if rel > RECONSTRUCTION_RTOL:
             raise ValidationError(
                 f"density does not match its multipliers (rel err {rel:.3e})"
@@ -640,9 +655,9 @@ def _shifted_exponent(
 ) -> tuple[np.float64, NDArray[np.float64]]:
     """(top, exp(e - top)) for the exponent e = -sum_j m_j h_j at the nodes,
     top its maximum, so that e cannot overflow; no other code forms e."""
-    expo = -(multipliers @ H)
-    top = expo.max()
-    return top, np.exp(expo - top)
+    expo = multipliers @ H  # -e; e - top rounds as min(-e) - (-e), in place
+    low = expo.min()
+    return -low, np.exp(np.subtract(low, expo, out=expo), out=expo)
 
 
 def _exponential_density(

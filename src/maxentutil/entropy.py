@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .core import Support, ValidationError
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = [
     "EntropyValue",
@@ -79,9 +81,9 @@ def discrete_entropy(
     p = np.asarray(masses, dtype=np.float64)
     if p.ndim != 1 or len(p) == 0:
         raise ValidationError("masses must be a non-empty vector")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValidationError("masses must be finite")
-    if np.any(p < 0.0):
+    if (p < 0.0).any():
         raise ValidationError("masses must be non-negative")
     total = float(p.sum())
     if abs(total - 1.0) > 1e-9:
@@ -98,9 +100,9 @@ def differential_entropy(
     p = np.asarray(density, dtype=np.float64)
     if p.shape != (support.n,):
         raise ValidationError("support mismatch: expected one density value per node")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValidationError("density must be finite")
-    if np.any(p < 0.0):
+    if (p < 0.0).any():
         raise ValidationError("density must be non-negative")
     mass = support.integrate(p)
     if abs(mass - 1.0) > 1e-8:

@@ -10,13 +10,16 @@ kept as an independent check on the analytic one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .core import MaxEntSolution, Support, ValidationError, _readonly
 from .entropy import ZERO_MASS_FLOOR
 from .utility import UtilityCurve
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = [
     "RiskAversionProfile",

@@ -47,14 +47,14 @@ the shift only moves log Z, and the reported log Z and density come from
 the uncentered matrix.
 
 A Newton step allocates nothing of size m x n: the covariance centers and
-weights its rows in one (2, m, n) workspace per solve.  glibc hands blocks
-that large back to the OS when they are freed, so temporaries allocated per
-step were faulted in again on every step (848 minor faults against 258 for
-an 8-step bracket solve on 8192 nodes, glibc 2.36).  The kernel's n-length
-temporaries stay per call: buffering them as well measured more faults per
-op and slower small solves.  The bracket bookkeeping runs on Python floats,
-once per step, because on a few rows a numpy call costs more than its
-arithmetic; it follows numpy's rules bit for bit (``np.clip``'s ties).
+weights its rows in one (2, m, n) workspace per solve, since glibc hands
+blocks that large back to the OS and per-step temporaries were faulted in
+again on every step (848 minor faults against 258 for an 8-step bracket
+solve on 8192 nodes, glibc 2.36).  The kernel works in place on one n-length
+array per call; buffering that too measured worse.  On a few rows a numpy
+call costs more than its arithmetic, so the bracket bookkeeping runs on
+Python floats, by numpy's rules bit for bit (``np.clip``'s ties), and the
+scaled Hessian goes to LAPACK's gufuncs directly (:func:`_inverse_factor`).
 
 Nodes with equal feature columns have equal density, so Newton runs on
 atoms: each run of equal adjacent columns becomes one column carrying the
@@ -67,10 +67,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.linalg import _umath_linalg as _lapack
 
 from .core import (
     ConstraintFunction,
@@ -83,11 +83,15 @@ from .core import (
     ValidationError,
     _feature_matrix,
     _features_and_multipliers,
+    _finite,
     _integer,
     _shifted_exponent,
     validate_problem,
 )
 from .entropy import differential_entropy, discrete_entropy
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = [
     "SolveOptions",
@@ -134,7 +138,7 @@ class SolveOptions:
     max_iter: int = 200
 
     def __post_init__(self) -> None:
-        if self.tol is not None and not 0.0 < self.tol < math.inf:
+        if self.tol is not None and not (_finite(self.tol) and self.tol > 0.0):
             raise ValidationError("tol must be positive and finite")
         n = _integer(self.max_iter, "max_iter must be an integer")
         object.__setattr__(self, "max_iter", n)
@@ -178,7 +182,14 @@ def _dual_kernel(
     with Z = sum_i w_i exp(-sum_j lam_j H[j, i]) (see the module docstring)."""
     top, shifted = _shifted_exponent(H, lam)
     z = w @ shifted
-    return float(top + np.log(z)), shifted / z
+    return float(top + np.log(z)), np.divide(shifted, z, out=shifted)
+
+
+def _inverse_factor(x: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``np.linalg.inv(np.linalg.cholesky(x))`` bit for bit, from the LAPACK
+    gufuncs it calls; FloatingPointError where it raises LinAlgError."""
+    with np.errstate(all="ignore", invalid="raise"):
+        return _lapack.inv(_lapack.cholesky_lo(x, signature="d->d"), signature="d->d")
 
 
 def _covariance(
@@ -186,13 +197,7 @@ def _covariance(
     rows: list[int] | None = None, work: NDArray[np.float64] | None = None,
 ) -> NDArray[np.float64]:
     """Covariance of the rows of H (those listed in ``rows``, or all) about
-    their ``mean`` under node masses wp, symmetrized.
-
-    The centered and the weighted rows go into ``work``, a (2, m, n) block,
-    allocated here when not given.  Newton passes one per solve: glibc hands
-    m x n temporaries back to the OS when they are freed, and every step
-    faulted them in again.  (The kernel's n-length temporaries are not
-    buffered; that measured worse.)"""
+    their ``mean`` under node masses wp, symmetrized, in a (2, m, n) ``work``."""
     k = H.shape[0] if rows is None else len(rows)
     work = np.empty((2, k, H.shape[1])) if work is None else work
     cen, weighted = work[0, :k], work[1, :k]
@@ -392,27 +397,25 @@ def _newton(
         if not (var > 0.0).all():
             raise InfeasibleError(_SINGULAR + _newton_state(it, gnorm, lam))
         g_rows = g if rows is None else g[rows]
-        held = np.zeros(len(g_rows), dtype=bool)
+        # Newton on the Hessian scaled to a unit diagonal: the scaling makes
+        # the ridge relative, so a multiplier of any size gets the same
+        # step.  A held row scales to zero, which leaves it out.  With a few
+        # rows, products with the inverted factor beat two solves, and the
+        # factor is numpy.linalg's, bit for bit, without its wrappers' cost.
+        s = 1.0 / np.sqrt(var)
         while True:
-            # Newton on the Hessian scaled to a unit diagonal: the scaling
-            # makes the ridge relative, so a multiplier of any size gets the
-            # same step.  A held row scales to zero, which leaves it out.
-            s = np.where(held, 0.0, 1.0 / np.sqrt(var))
-            scaled = hess * np.outer(s, s)
-            np.fill_diagonal(scaled, 1.0 + _RIDGE)
-            # With a few rows, products with the inverted factor beat two
-            # solves.
+            scaled = hess * np.multiply.outer(s, s)
+            scaled.flat[::len(s) + 1] = 1.0 + _RIDGE
             try:
-                inv = np.linalg.inv(np.linalg.cholesky(scaled))
-            except np.linalg.LinAlgError:
+                inv = _inverse_factor(scaled)
+            except FloatingPointError:
                 state = _newton_state(it, gnorm, lam)
                 raise InfeasibleError(_SINGULAR + state) from None
             step_rows = -s * (inv.T @ (inv @ (s * g_rows)))
-            # A row at zero whose step would leave its target's side.
             away = zero and _leaving(zero, step_rows.tolist(), g_rows.tolist())
             if not away:
                 break
-            held[away] = True
+            s[away] = 0.0
         direction = step_rows
         if rows is not None:
             direction = np.zeros(m)
@@ -422,7 +425,7 @@ def _newton(
             step, stops = _ratio_test(lams, direction.tolist(), bracket)
         allowance = _ARMIJO_ROUNDING * max(1.0, abs(here), float(np.abs(lam) @ h_size))
         while True:
-            trial, bound = lam + step * direction, lo
+            trial, bound = lam + (direction if step == 1.0 else step * direction), lo
             if any_bracket:
                 trial[stops] = 0.0
                 bound = np.where(trial > 0.0, hi, lo)
@@ -512,7 +515,7 @@ def _solve(problem: Problem, options: SolveOptions) -> MaxEntSolution:
     top, shifted = _shifted_exponent(H, lam)
     lz = float(top + np.log(w @ shifted))
     density = shifted * math.exp(top - lz)
-    if not np.all(density > 0.0):
+    if not (density > 0.0).all():
         raise InfeasibleError(_UNDERFLOW)
     moment = (w * density) @ H.T
     residuals, labels = [], []

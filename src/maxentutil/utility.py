@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .core import (
     ConstraintFunction,
@@ -31,6 +30,9 @@ from .core import (
     _readonly,
 )
 from .solver import MaxEntSolution, SolveOptions, solve_equality, solve_interval
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = [
     "UtilityVector",

@@ -15,6 +15,7 @@ from maxentutil.core import (
     _reference_rule,
     validate_problem,
 )
+from maxentutil.solver import SolveOptions
 
 
 # ---------------------------------------------------------------- supports
@@ -164,6 +165,41 @@ def test_support_stores_a_numpy_integer_node_count_as_int():
     assert s == Support.continuous(0.0, 1.0, 64)
     assert np.array_equal(s.nodes, Support.continuous(0.0, 1.0, 64).nodes)
     assert type(Support(kind="discrete", points=(0.0, 1.0), n=np.int32(2)).n) is int
+
+
+# Every field that takes a real number follows one rule: Python and numpy
+# integers and floats pass, bools and every other type raise ValidationError.
+_REAL_FIELDS = {
+    "support bound": lambda v: Support(kind="continuous", a=v, b=2.0, n=64),
+    "indicator edge": lambda v: ConstraintFunction(kind="indicator", lower=v, upper=2.0),
+    "tabulated value": lambda v: ConstraintFunction(kind="tabulated", values=(v, 1.0)),
+    "equality target": lambda v: ConstraintSpec(
+        function=ConstraintFunction.power(1), equals=v
+    ),
+    "interval bound": lambda v: ConstraintSpec(
+        function=ConstraintFunction.power(1), bounds=(v, 2.0)
+    ),
+    "tol": lambda v: SolveOptions(tol=v),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_REAL_FIELDS))
+@pytest.mark.parametrize(
+    "value,is_real",
+    [
+        (0.5, True), (1, True), (np.float64(0.5), True), (np.float32(0.5), True),
+        (np.int64(1), True), ("0.5", False), (b"1", False), (True, False),
+        (np.bool_(True), False), (0.5 + 0j, False), (Fraction(1, 2), False),
+        ([0.5], False), (math.nan, False), (-math.inf, False),
+        pytest.param(10**400, False, id="int-beyond-float"),
+    ],
+)
+def test_real_fields_accept_reals_and_reject_everything_else(field, value, is_real):
+    if is_real:
+        _REAL_FIELDS[field](value)
+    else:
+        with pytest.raises(ValidationError, match="finite"):
+            _REAL_FIELDS[field](value)
 
 
 def test_cumulative_rejected_on_discrete_support():

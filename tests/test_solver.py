@@ -436,6 +436,48 @@ def test_a_singular_hessian_names_where_newton_stopped(monkeypatch, hessian):
     assert state == (0, pytest.approx(0.2), [0.0, 0.0])
 
 
+@st.composite
+def _newton_matrices(draw):
+    """A covariance of m = 1-12 rows scaled to a unit diagonal plus the
+    ridge, as Newton factors it: some with a row repeated up to a
+    perturbation at the ridge's level (near-singular), some with a
+    correlation pushed past 1 (indefinite), some with a NaN; each scaled
+    by a power of ten."""
+    m = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((m, draw(st.integers(1, 2 * m))))
+    kind = draw(st.sampled_from(["spd", "near", "indefinite", "nan"]))
+    if kind == "near" and m > 1:
+        x[-1] = x[0] + draw(st.sampled_from([0.0, 1e-16, 1e-14, 1e-12])) * x[-1]
+    cov = x @ x.T
+    s = 1.0 / np.sqrt(cov.diagonal())
+    scaled = cov * np.multiply.outer(s, s)
+    scaled.flat[:: m + 1] = 1.0 + solver._RIDGE
+    i, j = rng.integers(m, size=2)
+    if kind == "indefinite" and m > 1:
+        i, j = (0, 1) if i == j else (i, j)
+        scaled[i, j] = scaled[j, i] = draw(st.floats(1.0, 3.0))
+    if kind == "nan":
+        scaled[i, j] = scaled[j, i] = np.nan
+    return scaled * 10.0 ** draw(st.integers(-200, 200))
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(_newton_matrices())
+def test_inverse_factor_is_the_public_wrappers_bit_for_bit(x):
+    # The oracle: what Newton called before it reached past the wrappers.
+    try:
+        want = np.linalg.inv(np.linalg.cholesky(x))
+    except np.linalg.LinAlgError:
+        # pytest turns any warning into an error, so none may escape.
+        with pytest.raises(FloatingPointError):
+            solver._inverse_factor(x)
+        return
+    got = solver._inverse_factor(x)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_a_stalled_line_search_names_where_newton_stopped(monkeypatch):
     # A kernel whose log Z is NaN at every trial: no step is ever accepted.
     kernel, calls = solver._dual_kernel, []

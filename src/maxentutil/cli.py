@@ -49,6 +49,7 @@ from typing import NoReturn
 import numpy as np
 
 from .core import (
+    DEFAULT_NODES,
     ConstraintFunction,
     ConstraintSpec,
     InfeasibleError,
@@ -283,11 +284,11 @@ def _solve_density(spec: SpecFile) -> tuple[MaxEntSolution, UtilityCurve | None]
     :func:`maxent_utility_from_assessments`).  No other spec builds a curve
     here."""
     if spec.domain is not None:
-        nodes = 1024 if spec.nodes is None else spec.nodes
+        nodes = DEFAULT_NODES if spec.nodes is None else spec.nodes
         support = Support.continuous(*spec.domain, n=nodes)
     else:
         support = Support.discrete(spec.points)
-    max_iter = 200 if spec.max_iter is None else spec.max_iter
+    max_iter = SolveOptions().max_iter if spec.max_iter is None else spec.max_iter
     options = SolveOptions(tol=spec.tol, max_iter=max_iter)
     if spec.assessments:
         curve, solution = maxent_utility_from_assessments(

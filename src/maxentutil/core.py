@@ -101,6 +101,22 @@ def _finite(value) -> bool:
         return False
 
 
+def _masses(values: ArrayLike, noun: str, tol: float) -> NDArray[np.float64]:
+    """``values`` as a probability mass vector, non-empty, finite and
+    non-negative, of sum 1 within ``tol``; ``noun`` names it in errors."""
+    p = np.asarray(values, dtype=np.float64)
+    if p.ndim != 1 or len(p) == 0:
+        raise ValidationError(f"{noun} must be a non-empty vector")
+    if not np.isfinite(p).all():
+        raise ValidationError(f"{noun} must be finite")
+    if (p < 0.0).any():
+        raise ValidationError(f"{noun} must be non-negative")
+    total = float(p.sum())
+    if abs(total - 1.0) > tol:
+        raise ValidationError(f"{noun} sum to {total!r}, not 1 within {tol:g}")
+    return p
+
+
 def _power(x: NDArray[np.float64], degree: int) -> NDArray[np.float64]:
     """x**degree in a fresh array, computed as |x|**degree with the sign of x
     put back for odd degrees.
@@ -165,7 +181,8 @@ class Support:
         n: number of nodes (grid size, or the number of discrete points);
             an int (numpy integers are stored as int; bools and floats
             raise ValidationError).
-        points: the discrete points (discrete only), strictly increasing.
+        points: the discrete points (discrete only): integers or floats, strictly
+            increasing as floats (a tuple mixing bools and floats converts).
     """
 
     kind: str
@@ -179,10 +196,12 @@ class Support:
         if self.kind == "discrete":
             if self.points is None or len(self.points) < 2:
                 raise ValidationError("discrete support needs at least 2 points")
-            arr = np.asarray(self.points, dtype=np.float64)
+            arr = np.asarray(self.points)
+            if arr.dtype.kind not in "iuf":
+                raise ValidationError("support points must be real numbers")
             if not np.isfinite(arr).all():
                 raise ValidationError("support points must be finite")
-            if not (np.diff(arr) > 0).all():
+            if not (np.diff(arr.astype(np.float64, copy=False)) > 0).all():
                 raise ValidationError("support points must be strictly increasing")
             if self.n != len(self.points):
                 raise ValidationError("discrete support size disagrees with its points")
@@ -266,12 +285,16 @@ class Support:
             for q, p, _ in self._panel_groups()
         ]))
 
-    def integrate(self, values: NDArray[np.float64]) -> float:
-        """Weighted sum of per-node values (a plain sum when discrete)."""
+    def _per_node(self, values: ArrayLike) -> NDArray[np.float64]:
+        """``values`` as a float array, checked to hold one value per node."""
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (self.n,):
             raise ValidationError("support mismatch: expected one value per node")
-        return float(np.dot(self.weights, values))
+        return values
+
+    def integrate(self, values: NDArray[np.float64]) -> float:
+        """Weighted sum of per-node values (a plain sum when discrete)."""
+        return float(np.dot(self.weights, self._per_node(values)))
 
     def cumulative(self, values: NDArray[np.float64]) -> tuple[NDArray, NDArray]:
         """Cumulative integral of per-node values from the left endpoint.
@@ -283,9 +306,7 @@ class Support:
         """
         if not self.is_continuous:
             raise ValidationError("cumulative integrals need a continuous support")
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (self.n,):
-            raise ValidationError("support mismatch: expected one value per node")
+        values = self._per_node(values)
         sizes = self.panel_sizes
         half_widths = 0.5 * np.diff(self.panel_edges)
         within = np.empty(self.n)
@@ -298,6 +319,20 @@ class Support:
         at_edges = np.concatenate(([0.0], np.cumsum(masses)))
         at_nodes = within + np.repeat(at_edges[:-1], sizes)
         return at_nodes, at_edges
+
+
+def _density_on(support: Support, values: ArrayLike) -> NDArray[np.float64]:
+    """``values`` as a density on the support's grid: one finite,
+    non-negative value per node, of mass 1 within 1e-8."""
+    p = support._per_node(values)
+    if not np.isfinite(p).all():
+        raise ValidationError("density must be finite")
+    if (p < 0.0).any():
+        raise ValidationError("density must be non-negative")
+    mass = support.integrate(p)
+    if abs(mass - 1.0) > 1e-8:
+        raise ValidationError(f"density integrates to {mass!r}, not 1")
+    return p
 
 
 @dataclass(frozen=True)
@@ -338,6 +373,8 @@ class ConstraintFunction:
                 raise ValidationError("tabulated values must be finite real numbers")
             if self.slope is not None and len(self.slope) != len(self.values):
                 raise ValidationError("tabulated slope must match values in length")
+            if self.slope is not None and not all(map(_finite, self.slope)):
+                raise ValidationError("tabulated slope must be finite real numbers")
         else:
             raise ValidationError(f"unknown constraint kind {self.kind!r}")
 
@@ -448,6 +485,8 @@ class ConstraintSpec:
     bounds: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.function, ConstraintFunction):
+            raise ValidationError("constraint function must be a ConstraintFunction")
         if (self.equals is None) == (self.bounds is None):
             raise ValidationError(
                 "constraint needs exactly one of an equality target or bounds"
@@ -455,6 +494,8 @@ class ConstraintSpec:
         if self.equals is not None and not _finite(self.equals):
             raise ValidationError("equality target must be a finite real number")
         if self.bounds is not None:
+            if not (isinstance(self.bounds, tuple) and len(self.bounds) == 2):
+                raise ValidationError("interval bounds must be a (lo, hi) pair")
             lo, hi = self.bounds
             if not (_finite(lo) and _finite(hi)):
                 raise ValidationError("interval bounds must be finite real numbers")

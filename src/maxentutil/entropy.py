@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .core import Support, ValidationError
+from .core import Support, ValidationError, _density_on, _masses
 
 if TYPE_CHECKING:
     from numpy.typing import NDArray
@@ -50,8 +50,8 @@ class EntropyValue:
         if base == self.base:
             return self
         if base == "base2":
-            return EntropyValue(self.value / math.log(2.0), "base2")
-        return EntropyValue(self.value * math.log(2.0), "natural")
+            return EntropyValue(self.value / math.log(2.0), base)
+        return EntropyValue(self.value * math.log(2.0), base)
 
 
 def _neg_xlogx(p: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -65,9 +65,7 @@ def _finish(value: float, base: str) -> EntropyValue:
     # Round-off can push a mathematically non-negative sum a hair below 0.
     if -1e-12 < value < 0.0:
         value = 0.0
-    if base == "base2":
-        value /= math.log(2.0)
-    return EntropyValue(value, base)
+    return EntropyValue(value).in_base(base)
 
 
 def discrete_entropy(
@@ -78,16 +76,7 @@ def discrete_entropy(
     The masses must be non-negative and sum to 1 within 1e-9.  The sum is
     returned as computed (the input is not renormalized).
     """
-    p = np.asarray(masses, dtype=np.float64)
-    if p.ndim != 1 or len(p) == 0:
-        raise ValidationError("masses must be a non-empty vector")
-    if not np.isfinite(p).all():
-        raise ValidationError("masses must be finite")
-    if (p < 0.0).any():
-        raise ValidationError("masses must be non-negative")
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValidationError(f"masses sum to {total!r}, not 1")
+    p = _masses(masses, "masses", 1e-9)
     return _finish(float(_neg_xlogx(p).sum()), base)
 
 
@@ -97,16 +86,7 @@ def differential_entropy(
     """Entropy -integral p log p of a density tabulated on a continuous grid."""
     if not support.is_continuous:
         raise ValidationError("differential entropy needs a continuous support")
-    p = np.asarray(density, dtype=np.float64)
-    if p.shape != (support.n,):
-        raise ValidationError("support mismatch: expected one density value per node")
-    if not np.isfinite(p).all():
-        raise ValidationError("density must be finite")
-    if (p < 0.0).any():
-        raise ValidationError("density must be non-negative")
-    mass = support.integrate(p)
-    if abs(mass - 1.0) > 1e-8:
-        raise ValidationError(f"density integrates to {mass!r}, not 1")
+    p = _density_on(support, density)
     return _finish(support.integrate(_neg_xlogx(p)), base)
 
 
@@ -118,4 +98,4 @@ def entropy_of_increments(increments, base: str = "natural") -> EntropyValue:
     a UtilityIncrementVector or any plain sequence of increments.
     """
     arr = getattr(increments, "increments", increments)
-    return discrete_entropy(np.asarray(arr, dtype=np.float64), base)
+    return discrete_entropy(arr, base)

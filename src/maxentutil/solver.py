@@ -218,18 +218,18 @@ def _equality_targets(constraints: Sequence[ConstraintSpec]) -> NDArray[np.float
     return np.array([spec.equals for spec in constraints], dtype=np.float64)
 
 
-def _moments_at(
+def _dual(
     support: Support,
-    constraints: Sequence[ConstraintSpec],
+    functions: Sequence[ConstraintFunction],
     multipliers: Sequence[float] | NDArray[np.float64],
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """Feature matrix, node masses w*p and moments E[h] at the multipliers."""
-    H, lam = _features_and_multipliers(
-        support, [s.function for s in constraints], multipliers
-    )
-    _, p = _dual_kernel(H, support.weights, lam)
+) -> tuple[NDArray[np.float64], float, NDArray[np.float64], NDArray[np.float64],
+           NDArray[np.float64]]:
+    """The dual maps' one evaluation: the checked multipliers, log Z, the
+    feature matrix, node masses w*p and moments E[h] at the multipliers."""
+    H, lam = _features_and_multipliers(support, functions, multipliers)
+    lz, p = _dual_kernel(H, support.weights, lam)
     wp = support.weights * p
-    return H, wp, wp @ H.T
+    return lam, lz, H, wp, wp @ H.T
 
 
 def log_partition(
@@ -239,9 +239,7 @@ def log_partition(
 ) -> float:
     """log of Z(m) = sum_i w_i exp(-sum_j m_j h_j(x_i)), with a max-shift so
     that exponents as large as several hundred in magnitude do not overflow."""
-    H, lam = _features_and_multipliers(support, functions, multipliers)
-    top, shifted = _shifted_exponent(H, lam)
-    return float(top + np.log(support.weights @ shifted))
+    return _dual(support, functions, multipliers)[1]
 
 
 def dual_value(
@@ -251,8 +249,7 @@ def dual_value(
 ) -> float:
     """D(m) = log Z(m) + m . b for equality constraints."""
     b = _equality_targets(constraints)
-    lam = np.asarray(multipliers, dtype=np.float64)
-    lz = log_partition(support, [s.function for s in constraints], lam)
+    lam, lz, *_ = _dual(support, [s.function for s in constraints], multipliers)
     return lz + float(lam @ b)
 
 
@@ -263,7 +260,7 @@ def dual_gradient(
 ) -> NDArray[np.float64]:
     """Gradient of the dual: b - E[h] at the current multipliers."""
     b = _equality_targets(constraints)
-    return b - _moments_at(support, constraints, multipliers)[2]
+    return b - _dual(support, [s.function for s in constraints], multipliers)[4]
 
 
 def dual_hessian(
@@ -272,7 +269,8 @@ def dual_hessian(
     multipliers: Sequence[float] | NDArray[np.float64],
 ) -> NDArray[np.float64]:
     """Hessian of the dual: the covariance matrix of the h_j under p."""
-    return _covariance(*_moments_at(support, constraints, multipliers))
+    functions = [s.function for s in constraints]
+    return _covariance(*_dual(support, functions, multipliers)[2:])
 
 
 def dual_state(
@@ -282,8 +280,7 @@ def dual_state(
     iteration: int = 0,
 ) -> DualState:
     b = _equality_targets(constraints)
-    lam = np.asarray(multipliers, dtype=np.float64)
-    H, wp, mom = _moments_at(support, constraints, lam)
+    lam, _, H, wp, mom = _dual(support, [s.function for s in constraints], multipliers)
     return DualState(
         multipliers=lam,
         gradient=b - mom,

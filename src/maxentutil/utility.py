@@ -26,7 +26,9 @@ from .core import (
     ConstraintSpec,
     Support,
     ValidationError,
+    _density_on,
     _integer,
+    _masses,
     _readonly,
 )
 from .solver import MaxEntSolution, SolveOptions, solve_equality, solve_interval
@@ -92,19 +94,8 @@ class UtilityIncrementVector:
     increments: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.increments, dtype=np.float64)
+        d = _masses(self.increments, "increments", INCREMENT_SUM_TOL)
         object.__setattr__(self, "increments", _readonly(d))
-        if d.ndim != 1 or len(d) < 1:
-            raise ValidationError("increment vector needs at least 1 increment")
-        if not np.all(np.isfinite(d)):
-            raise ValidationError("increments must be finite")
-        if np.any(d < 0.0):
-            raise ValidationError("increments must be non-negative")
-        total = float(d.sum())
-        if abs(total - 1.0) > INCREMENT_SUM_TOL:
-            raise ValidationError(
-                f"increments sum to {total!r}, not 1 within {INCREMENT_SUM_TOL:g}"
-            )
 
     def __len__(self) -> int:
         return len(self.increments)
@@ -150,16 +141,7 @@ class UtilityCurve:
         support = self.support
         if not support.is_continuous:
             raise ValidationError("utility curves need a continuous support")
-        u = np.asarray(self.density, dtype=np.float64)
-        if u.shape != (support.n,):
-            raise ValidationError("support mismatch: expected one value per node")
-        if not np.all(np.isfinite(u)):
-            raise ValidationError("density must be finite")
-        if np.any(u < 0.0):
-            raise ValidationError("density must be non-negative")
-        mass = support.integrate(u)
-        if abs(mass - 1.0) > 1e-8:
-            raise ValidationError(f"density integrates to {mass!r}, not 1")
+        u = _density_on(support, self.density)
         at_nodes, at_edges = support.cumulative(u)
         total = at_edges[-1]
         curve = at_nodes / total
@@ -213,9 +195,7 @@ def curve_to_density(
     """
     if not support.is_continuous:
         raise ValidationError("utility curves need a continuous support")
-    U = np.asarray(getattr(curve, "curve", curve), dtype=np.float64)
-    if U.shape != (support.n,):
-        raise ValidationError("support mismatch: expected one value per node")
+    U = support._per_node(getattr(curve, "curve", curve))
     if not np.all(np.isfinite(U)):
         raise ValidationError("curve values must be finite")
     if np.any(np.diff(U) < -1e-12):

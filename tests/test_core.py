@@ -173,6 +173,9 @@ _REAL_FIELDS = {
     "support bound": lambda v: Support(kind="continuous", a=v, b=2.0, n=64),
     "indicator edge": lambda v: ConstraintFunction(kind="indicator", lower=v, upper=2.0),
     "tabulated value": lambda v: ConstraintFunction(kind="tabulated", values=(v, 1.0)),
+    "tabulated slope": lambda v: ConstraintFunction(
+        kind="tabulated", values=(0.0, 1.0), slope=(v, 1.0)
+    ),
     "equality target": lambda v: ConstraintSpec(
         function=ConstraintFunction.power(1), equals=v
     ),
@@ -200,6 +203,36 @@ def test_real_fields_accept_reals_and_reject_everything_else(field, value, is_re
     else:
         with pytest.raises(ValidationError, match="finite"):
             _REAL_FIELDS[field](value)
+
+
+# Discrete points follow the real-number rule as an array: it must convert to
+# integers or floats, which a tuple mixing bools with floats still does.
+@pytest.mark.parametrize(
+    "points",
+    [("0", "1"), (b"0", b"1"), (False, True), (np.bool_(False), np.bool_(True)),
+     (0j, 1j), (Fraction(0), Fraction(1)), (None, 1.0), (0, 10**400)],
+)
+def test_discrete_support_points_must_be_real_numbers(points):
+    with pytest.raises(ValidationError, match="support points must be real numbers"):
+        Support(kind="discrete", points=points, n=2)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [(0, 1), (np.int32(0), np.uint8(1)), (np.float32(0.0), 1.0), (True, 2.5)],
+)
+def test_discrete_support_points_take_integers_and_floats(points):
+    s = Support(kind="discrete", points=points, n=2)
+    assert np.array_equal(s.nodes, [float(x) for x in points])
+
+
+# Unsigned differences would wrap, and these two int64 values are one float.
+@pytest.mark.parametrize(
+    "points", [(np.uint8(3), np.uint8(1)), (np.int64(2**60), np.int64(2**60 + 1))]
+)
+def test_discrete_support_compares_integer_points_as_floats(points):
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        Support(kind="discrete", points=points, n=2)
 
 
 def test_cumulative_rejected_on_discrete_support():
@@ -370,6 +403,24 @@ def test_constraint_spec_needs_exactly_one_target():
         ConstraintSpec(function=fn, equals=1.0, bounds=(0.0, 2.0))
     with pytest.raises(ValidationError):
         ConstraintSpec.interval(fn, 2.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"function": "power 1", "equals": 0.5}, "must be a ConstraintFunction"),
+        ({"function": None, "equals": 0.5}, "must be a ConstraintFunction"),
+        ({"bounds": 5}, "must be a (lo, hi) pair"),
+        ({"bounds": (1.0,)}, "must be a (lo, hi) pair"),
+        ({"bounds": (0.0, 1.0, 2.0)}, "must be a (lo, hi) pair"),
+        ({"bounds": [0.0, 1.0]}, "must be a (lo, hi) pair"),
+    ],
+)
+def test_constraint_spec_checks_its_own_shape(fields, message):
+    fields = {"function": ConstraintFunction.power(1), **fields}
+    with pytest.raises(ValidationError) as err:
+        ConstraintSpec(**fields)
+    assert message in str(err.value)
 
 
 # ----------------------------------------------------------------- problems

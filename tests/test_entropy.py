@@ -211,3 +211,11 @@ def test_entropy_value_base_conversion():
 def test_entropy_value_rejects_unknown_base():
     with pytest.raises(ValidationError):
         EntropyValue(1.0, "base3")
+    for convert in (
+        lambda: EntropyValue(1.0).in_base("base3"),
+        lambda: EntropyValue(1.0, "base2").in_base("base3"),
+        lambda: discrete_entropy([0.5, 0.5], base="base3"),
+        lambda: _hd(np.ones(64), Support.continuous(0.0, 1.0, 64), base="base3"),
+    ):
+        with pytest.raises(ValidationError, match="entropy base must be one of"):
+            convert()

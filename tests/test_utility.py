@@ -9,7 +9,7 @@ from maxentutil.core import (
     Support,
     ValidationError,
 )
-from maxentutil.entropy import differential_entropy
+from maxentutil.entropy import differential_entropy, discrete_entropy
 from maxentutil.solver import solve_equality
 from maxentutil.utility import (
     UtilityCurve,
@@ -142,6 +142,55 @@ def test_curve_rejects_unnormalized_density():
     s = Support.continuous(0.0, 2.0, 64)
     with pytest.raises(ValidationError):
         density_to_curve(np.full(s.n, -1.0), s)
+
+
+# A utility density is a density and utility increments are masses: each
+# rule is one check, so both of its callers fail alike on the same input.
+_GRID = Support.continuous(0.0, 1.0, 64)
+
+
+def _ones_with(index, value):
+    p = np.ones(_GRID.n)
+    p[index] = value
+    return p
+
+
+@pytest.mark.parametrize(
+    "density,message",
+    [
+        (np.ones(_GRID.n - 1), "support mismatch: expected one value per node"),
+        (_ones_with(5, math.nan), "density must be finite"),
+        (_ones_with(5, -1.0), "density must be non-negative"),
+        (np.full(_GRID.n, 1.01), "density integrates to "),
+    ],
+)
+def test_a_curve_and_differential_entropy_share_the_density_rule(density, message):
+    raised = []
+    for build in (UtilityCurve, lambda s, p: differential_entropy(p, s)):
+        with pytest.raises(ValidationError) as err:
+            build(_GRID, density)
+        raised.append(str(err.value))
+    assert raised[0] == raised[1]
+    assert raised[0].startswith(message)
+
+
+@pytest.mark.parametrize(
+    "masses,message",
+    [
+        ([], "{noun} must be a non-empty vector"),
+        ([0.5, math.nan], "{noun} must be finite"),
+        ([1.5, -0.5], "{noun} must be non-negative"),
+        ([0.5, 0.51], "{noun} sum to 1.01, not 1 within {tol:g}"),
+    ],
+)
+def test_increments_and_discrete_entropy_share_the_mass_rule(masses, message):
+    for build, noun, tol in (
+        (lambda p: UtilityIncrementVector(np.array(p, dtype=float)), "increments", 1e-12),
+        (discrete_entropy, "masses", 1e-9),
+    ):
+        with pytest.raises(ValidationError) as err:
+            build(masses)
+        assert str(err.value) == message.format(noun=noun, tol=tol)
 
 
 def test_curve_evaluate_rejects_points_outside_support():

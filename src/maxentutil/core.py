@@ -181,8 +181,9 @@ class Support:
         n: number of nodes (grid size, or the number of discrete points);
             an int (numpy integers are stored as int; bools and floats
             raise ValidationError).
-        points: the discrete points (discrete only): integers or floats, strictly
-            increasing as floats (a tuple mixing bools and floats converts).
+        points: the discrete points (discrete only): a flat sequence of
+            integers or floats, strictly increasing as floats (a tuple
+            mixing bools and floats converts).
     """
 
     kind: str
@@ -196,8 +197,11 @@ class Support:
         if self.kind == "discrete":
             if self.points is None or len(self.points) < 2:
                 raise ValidationError("discrete support needs at least 2 points")
-            arr = np.asarray(self.points)
-            if arr.dtype.kind not in "iuf":
+            try:
+                arr = np.asarray(self.points)
+            except ValueError:  # ragged, such as ([0.5], 2.0)
+                arr = None
+            if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
                 raise ValidationError("support points must be real numbers")
             if not np.isfinite(arr).all():
                 raise ValidationError("support points must be finite")
@@ -580,7 +584,10 @@ class SolverDiagnostics:
     """What the solver did and how well the targets were met.
 
     Attributes:
-        iterations: accepted Newton steps of the solve.
+        iterations: accepted Newton steps of the solve; 1 for a determined
+            problem (m equality rows on m + 1 merged atoms, such as
+            assessed points), whose first step goes to its exact
+            multipliers.
         grad_max_norm: max-norm of the final dual gradient.
         residuals: signed per-constraint residuals; for an interval
             constraint this is the signed distance outside its bounds

@@ -61,6 +61,18 @@ atoms: each run of equal adjacent columns becomes one column carrying the
 run's summed weight (an assessed utility on 8192 nodes has K+1 atoms, one
 per cell between its K points), while the final log Z, density, residuals
 and entropy are evaluated on the full grid.
+
+A determined problem, m equality rows on m + 1 merged atoms (K assessed
+points, or indicators cutting a discrete support into m + 1 runs), has one
+density that meets its targets: they fix the atom masses, and the masses
+fix the multipliers.  The solver finds those by two square linear solves
+(:func:`_determined`), and Newton's first step goes straight to them, so
+such a solve takes one step and its density is exact to rounding, not only
+to tol.  When a mass is not positive (the targets are infeasible), a system
+is singular or the line search rejects the step, Newton runs as for any
+other problem.  Rows that merge nothing, such as m powers on m + 1 discrete
+points, take no exact step: their multipliers can be so large that the
+full-grid evaluation loses the mass to rounding.
 """
 
 from __future__ import annotations
@@ -331,6 +343,44 @@ def _newton_state(steps: int, gnorm: float, lam: NDArray[np.float64]) -> str:
             f"multipliers [{values}]")
 
 
+def _newton_direction(
+    H: NDArray[np.float64], wp: NDArray[np.float64], mom: NDArray[np.float64],
+    g: NDArray[np.float64], rows: list[int] | None, zero: list[int],
+    work: NDArray[np.float64],
+) -> NDArray[np.float64] | None:
+    """Newton's direction on the rows in ``rows`` (all when None), the rest
+    held at zero, as are the rows in ``zero`` whose step would leave their
+    target's side (see :func:`_newton`); None when the Hessian is singular."""
+    hess = _covariance(H, wp, mom, rows, work)
+    var = hess.diagonal()
+    if not (var > 0.0).all():
+        return None
+    g_rows = g if rows is None else g[rows]
+    # Newton on the Hessian scaled to a unit diagonal: the scaling makes the
+    # ridge relative, so a multiplier of any size gets the same step.  A held
+    # row scales to zero, which leaves it out.  With a few rows, products
+    # with the inverted factor beat two solves, and the factor is
+    # numpy.linalg's, bit for bit, without its wrappers' cost.
+    s = 1.0 / np.sqrt(var)
+    while True:
+        scaled = hess * np.multiply.outer(s, s)
+        scaled.flat[::len(s) + 1] = 1.0 + _RIDGE
+        try:
+            inv = _inverse_factor(scaled)
+        except FloatingPointError:
+            return None
+        step_rows = -s * (inv.T @ (inv @ (s * g_rows)))
+        away = zero and _leaving(zero, step_rows.tolist(), g_rows.tolist())
+        if not away:
+            break
+        s[away] = 0.0
+    if rows is None:
+        return step_rows
+    direction = np.zeros(H.shape[0])
+    direction[rows] = step_rows
+    return direction
+
+
 def _newton(
     H: NDArray[np.float64],
     w: NDArray[np.float64],
@@ -340,6 +390,7 @@ def _newton(
     h_size: NDArray[np.float64],
     tol: float,
     max_iter: int,
+    exact: NDArray[np.float64] | None = None,
 ) -> tuple[NDArray[np.float64], int, float, tuple[float, ...], int, int]:
     """Damped Newton descent on the bracket dual
     D(lam) = log Z(lam) + sum_j max(lam_j lo_j, lam_j hi_j) from ``lam0``.
@@ -355,7 +406,12 @@ def _newton(
     stops where a multiplier first reaches zero and sets it to exactly 0, so
     every trial lies on the Newton direction.  A row with lo == hi is an
     equality and skips all of this.  ``h_size`` is max|H| per row, the
-    scale of D's rounding."""
+    scale of D's rounding.
+
+    ``exact``, a determined problem's multipliers (see :func:`_determined`),
+    replaces the first Newton direction with ``exact - lam0``.  The line
+    search takes that step whole or not at all: when Armijo rejects it,
+    Newton takes its own first step instead, as if ``exact`` were None."""
     m = H.shape[0]
     lam = np.array(lam0, dtype=np.float64)
     bracket = (lo < hi).tolist()
@@ -389,39 +445,16 @@ def _newton(
             return lam, it, gnorm, tuple(trace), halvings, ratio_stops
         if it == max_iter:
             break
-        hess = _covariance(H, wp, mom, rows, work)
-        var = hess.diagonal()
-        if not (var > 0.0).all():
-            raise InfeasibleError(_SINGULAR + _newton_state(it, gnorm, lam))
-        g_rows = g if rows is None else g[rows]
-        # Newton on the Hessian scaled to a unit diagonal: the scaling makes
-        # the ridge relative, so a multiplier of any size gets the same
-        # step.  A held row scales to zero, which leaves it out.  With a few
-        # rows, products with the inverted factor beat two solves, and the
-        # factor is numpy.linalg's, bit for bit, without its wrappers' cost.
-        s = 1.0 / np.sqrt(var)
-        while True:
-            scaled = hess * np.multiply.outer(s, s)
-            scaled.flat[::len(s) + 1] = 1.0 + _RIDGE
-            try:
-                inv = _inverse_factor(scaled)
-            except FloatingPointError:
-                state = _newton_state(it, gnorm, lam)
-                raise InfeasibleError(_SINGULAR + state) from None
-            step_rows = -s * (inv.T @ (inv @ (s * g_rows)))
-            away = zero and _leaving(zero, step_rows.tolist(), g_rows.tolist())
-            if not away:
-                break
-            s[away] = 0.0
-        direction = step_rows
-        if rows is not None:
-            direction = np.zeros(m)
-            direction[rows] = step_rows
-        step, stops = 1.0, []
-        if any_bracket:
-            step, stops = _ratio_test(lams, direction.tolist(), bracket)
         allowance = _ARMIJO_ROUNDING * max(1.0, abs(here), float(np.abs(lam) @ h_size))
+        step, stops = 1.0, []
+        direction = None if exact is None else exact - lam
         while True:
+            if direction is None:
+                direction = _newton_direction(H, wp, mom, g, rows, zero, work)
+                if direction is None:
+                    raise InfeasibleError(_SINGULAR + _newton_state(it, gnorm, lam))
+                if any_bracket:
+                    step, stops = _ratio_test(lams, direction.tolist(), bracket)
             trial, bound = lam + (direction if step == 1.0 else step * direction), lo
             if any_bracket:
                 trial[stops] = 0.0
@@ -431,6 +464,11 @@ def _newton(
             # Written so that a NaN value is rejected too.
             if value <= here + _ARMIJO_SLOPE * float(g @ (trial - lam)) + allowance:
                 break
+            if exact is not None:
+                # The exact step is taken whole or not at all: Newton's own
+                # step replaces it.
+                exact = direction = None
+                continue
             # Only the first trial can reach a ratio-test stop.
             step, stops = 0.5 * step, []
             halvings += 1
@@ -441,6 +479,7 @@ def _newton(
                     "line search stalled; the problem is infeasible or unbounded"
                     + _newton_state(it, gnorm, lam)
                 )
+        exact = None
         lam, here = trial, value
         trace.append(here)
         ratio_stops += len(stops)
@@ -460,6 +499,33 @@ def _atom_starts(H: NDArray[np.float64]) -> NDArray[np.intp] | None:
         if differs.all():
             return None
     return np.flatnonzero(np.concatenate(([True], differs)))
+
+
+def _determined(
+    Ha: NDArray[np.float64], wa: NDArray[np.float64], Hc: NDArray[np.float64],
+    b: NDArray[np.float64],
+) -> NDArray[np.float64] | None:
+    """The exact multipliers of m equality rows with targets b on m + 1
+    atoms (columns of Ha, weights wa), or None when a system is singular or
+    a mass is not positive.  The targets fix the atom masses q, through
+    [1; Ha] q = [1; b], and the masses fix the multipliers: the density
+    q / wa is exp(-c - Hc^T lam) on the centered rows Hc, so
+    [1 | Hc^T] (c, lam) = -log(q / wa).  Both are solved by the LAPACK
+    gufunc behind ``np.linalg.solve``, where its LinAlgError (or an
+    overflow) raises FloatingPointError."""
+    k = len(wa)
+    a, rhs = np.empty((k, k)), np.empty(k)
+    a[0] = rhs[0] = 1.0
+    a[1:], rhs[1:] = Ha, b
+    with np.errstate(all="ignore", over="raise", invalid="raise"):
+        try:
+            q = _lapack.solve1(a, rhs, signature="dd->d")
+            if not q.min() > 0.0:
+                return None
+            a[:, 0], a[:, 1:] = 1.0, Hc.T
+            return _lapack.solve1(a, -np.log(q / wa), signature="dd->d")[1:]
+        except FloatingPointError:
+            return None
 
 
 def _entropy_of(support: Support, density: NDArray[np.float64]) -> float:
@@ -504,9 +570,16 @@ def _solve(problem: Problem, options: SolveOptions) -> MaxEntSolution:
     # differently.
     Hc = np.subtract(Ha, center[:, None], order="C")
     hc_size = np.maximum(h_max - center, center - h_min)
+    # A determined problem's first step goes straight to its multipliers.
+    # Only merged atoms qualify: m powers on m + 1 points can have exact
+    # multipliers near 1e7, at which the full-grid log Z below loses the
+    # mass to rounding.
+    exact = None
+    if starts is not None and Ha.shape[1] == len(specs) + 1 and (lo == hi).all():
+        exact = _determined(Ha, wa, Hc, lo)
     lam, iters, gnorm, trace, halvings, ratio_stops = _newton(
         Hc, wa, lo - center, hi - center, np.zeros(len(specs)), hc_size, tol,
-        options.max_iter,
+        options.max_iter, exact,
     )
 
     top, shifted = _shifted_exponent(H, lam)

@@ -289,6 +289,11 @@ def maxent_utility_from_assessments(
     between consecutive assessment points.  The returned curve and solution
     live on the refined grid, which may be finer than the one passed in.
 
+    K points leave K + 1 atoms, one per cell, so the problem is determined:
+    the assessed values fix each cell's mass, the solve takes one exact
+    Newton step (``iterations == 1``), and the density and the curve match
+    their closed form to rounding at the snapped points.
+
     Each point moves to the nearest panel edge of that grid, by at most half
     a panel: (b - a)/512 at the 8192-node ceiling, where refinement stops.
     Nothing reports the move.  So a 128-node support may come back with

@@ -206,11 +206,14 @@ def test_real_fields_accept_reals_and_reject_everything_else(field, value, is_re
 
 
 # Discrete points follow the real-number rule as an array: it must convert to
-# integers or floats, which a tuple mixing bools with floats still does.
+# a flat array of integers or floats, which a tuple mixing bools with floats
+# still does; nested points do not (a 2 x 2 array, or ragged ones that numpy
+# refuses to convert).
 @pytest.mark.parametrize(
     "points",
     [("0", "1"), (b"0", b"1"), (False, True), (np.bool_(False), np.bool_(True)),
-     (0j, 1j), (Fraction(0), Fraction(1)), (None, 1.0), (0, 10**400)],
+     (0j, 1j), (Fraction(0), Fraction(1)), (None, 1.0), (0, 10**400),
+     ((0, 1), (2, 3)), ([0.5], 2.0)],
 )
 def test_discrete_support_points_must_be_real_numbers(points):
     with pytest.raises(ValidationError, match="support points must be real numbers"):

@@ -34,7 +34,7 @@ from maxentutil.solver import (
     solve_interval,
 )
 
-from test_assessment_properties import DOMAINS, NODES, PROPERTY_SETTINGS
+from test_assessment_properties import DOMAINS, NODES, PROPERTY_SETTINGS, spaced_shares
 
 POWERS = [ConstraintFunction.power(k) for k in range(1, 9)]
 
@@ -127,3 +127,40 @@ def test_interval_moments_of_a_positive_density_solve(problem, data):
     tol = _tolerance(targets)
     sol = solve_interval(support, specs, SolveOptions(tol=tol))
     _check(support, q, H, sol, lo, hi, tol)
+
+
+@st.composite
+def determined_problems(draw):
+    """A discrete support cut into m + 1 runs of points by m nested
+    indicators, from the first point to midway past run j, and drawn
+    positive masses on the runs, with the indicators' means as targets."""
+    a, b = draw(st.sampled_from(DOMAINS))
+    n = draw(st.integers(3, 12))
+    support = Support.discrete(a + (b - a) * draw(spaced_shares(n)))
+    # Some run has two points or more: points that merge nothing take no
+    # exact step.
+    m = draw(st.integers(1, min(n - 2, 5)))
+    cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=m, max_size=m,
+                                unique=True)))
+    q = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m + 1, max_size=m + 1)))
+    q /= q.sum()
+    x = support.nodes
+    specs = [
+        ConstraintSpec.equality(ConstraintFunction.indicator(x[0], (x[c - 1] + x[c]) / 2), float(t))
+        for c, t in zip(cuts, np.cumsum(q))
+    ]
+    runs = np.diff([0, *cuts, n])
+    return support, specs, np.repeat(q / runs, runs)
+
+
+@PROPERTY_SETTINGS
+@given(determined_problems())
+def test_determined_indicators_solve_in_one_exact_step(problem):
+    # m targets on m + 1 runs fix the runs' masses, and the masses fix the
+    # multipliers: Newton's one step lands on them (it takes none when the
+    # uniform start already meets the targets).
+    support, specs, expected = problem
+    sol = solve_equality(support, specs)
+    assert sol.diagnostics.atoms == len(specs) + 1
+    assert sol.diagnostics.iterations <= 1 and sol.diagnostics.halvings == 0
+    np.testing.assert_allclose(sol.density, expected, rtol=1e-12)

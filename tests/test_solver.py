@@ -570,7 +570,14 @@ def test_assessed_utility_solves_on_one_atom_per_cell(k):
     _, sol = maxent_utility_from_assessments(support, list(zip(xs, vs)))
     assert sol.support.n == 8192
     assert sol.diagnostics.atoms == k + 1
-    np.testing.assert_allclose(sol.multipliers, _full_grid_multipliers(sol), rtol=1e-12)
+    # The closed form: the density is flat between the snapped points, and
+    # the multiplier of the indicator on [0, x_j] is the log of the ratio of
+    # the heights right and left of x_j.
+    edges = sol.support.panel_edges
+    knots = [0.0] + [edges[np.argmin(np.abs(edges - x))] for x in xs] + [1.0]
+    heights = np.diff([0.0, *vs, 1.0]) / np.diff(knots)
+    np.testing.assert_allclose(sol.multipliers, np.log(heights[1:] / heights[:-1]),
+                               rtol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -612,6 +619,84 @@ def test_an_indicator_given_twice_matches_the_full_grid():
     assert total == pytest.approx(_full_grid_multipliers(sol).sum(), rel=1e-12)
     once = solve_equality(sol.support, [spec]).multipliers[0]
     assert total == pytest.approx(once, rel=1e-12)
+
+
+# ------------------------------------------------------ determined problems
+# m equality rows on m + 1 atoms: the targets fix the atom masses and the
+# masses fix the multipliers, which Newton's first step goes to.
+
+
+def _assert_same_solve(a, b):
+    assert a.diagnostics == b.diagnostics
+    np.testing.assert_array_equal(a.multipliers, b.multipliers)
+    np.testing.assert_array_equal(a.density, b.density)
+
+
+def _assessed_spec():
+    return Support.continuous(0.0, 1.0, 128), [_indicator_spec(0.0, 0.5, 0.8)]
+
+
+def test_an_assessed_point_solves_in_one_exact_step():
+    support, specs = _assessed_spec()
+    sol = solve_equality(support, specs)
+    d = sol.diagnostics
+    assert (d.atoms, d.iterations, d.halvings, d.residuals) == (2, 1, 0, (0.0,))
+    assert len(d.dual_trace) == 2
+    # Heights 1.6 and 0.4 on the two halves: the multiplier is -ln 4.
+    assert sol.multipliers[0] == pytest.approx(-math.log(4.0), rel=1e-14)
+    np.testing.assert_allclose(sol.density, np.where(support.nodes < 0.5, 1.6, 0.4),
+                               rtol=1e-14)
+
+
+def test_a_determined_problem_with_a_negative_mass_fails_as_before(monkeypatch):
+    # On [0, 1], mass 0.8 on [0, 0.5] and 0.9 on [0, 0.3] leave -0.1 for
+    # (0.3, 0.5]: no density meets them.
+    support = Support.continuous(0.0, 1.0, 128)
+    specs = [_indicator_spec(0.0, 0.5, 0.8), _indicator_spec(0.0, 0.3, 0.9)]
+    with pytest.raises(InfeasibleError) as err:
+        solve_equality(support, specs)
+    first, where = str(err.value).splitlines()
+    assert first.startswith("multipliers drive the density to zero")
+    assert where.startswith("at Newton step 3: gradient max-norm 0.0809492,")
+    monkeypatch.setattr(solver, "_determined", lambda *args: None)
+    with pytest.raises(InfeasibleError) as plain:
+        solve_equality(support, specs)
+    assert str(err.value) == str(plain.value)
+
+
+def test_powers_on_one_more_point_take_no_exact_step():
+    # Powers 1..7 on 8 points merge no atoms.  Their exact multipliers reach
+    # about 1e7, and from there the full-grid log Z loses the mass to
+    # rounding, so Newton runs from zero as for any other problem.
+    points = [0.20890550599152005, 0.3752482790624849, 0.4207578833965073,
+              0.4784867070209472, 0.5084843795767526, 0.6875187139655412,
+              0.85638523627457, 0.9441731002136275]
+    targets = [0.6869872975098761, 0.5010627710430747, 0.3820941795938682,
+               0.30206279664753394, 0.24629573102505464, 0.2063521320507058,
+               0.1770343234249814]
+    support = Support.discrete(points)
+    specs = [_power_spec(k, t) for k, t in enumerate(targets, start=1)]
+    sol = solve_equality(support, specs)
+    assert sol.diagnostics.atoms == 8 and sol.diagnostics.iterations > 1
+    assert np.abs(sol.diagnostics.residuals).max() <= SolveOptions().resolve_tol(support)
+
+
+def test_a_singular_determined_system_gives_no_exact_step():
+    row = np.array([1.0, 0.0, 0.0])
+    Ha, wa = np.array([row, row]), np.full(3, 1.0 / 3.0)
+    assert solver._determined(Ha, wa, Ha - 1.0 / 3.0, np.array([0.5, 0.5])) is None
+
+
+def test_an_exact_step_that_armijo_rejects_gives_way_to_newtons_own(monkeypatch):
+    # A wrong "exact" multiplier raises the dual: Newton takes its own first
+    # step instead, and never a part of the rejected one.
+    support, specs = _assessed_spec()
+    monkeypatch.setattr(solver, "_determined", lambda *args: np.array([50.0]))
+    rejected = solve_equality(support, specs)
+    monkeypatch.setattr(solver, "_determined", lambda *args: None)
+    plain = solve_equality(support, specs)
+    assert plain.diagnostics.iterations > 1
+    _assert_same_solve(rejected, plain)
 
 
 # ---------------------------------------------------------------- dual maps
@@ -825,7 +910,8 @@ def test_a_pinned_bound_that_stops_binding_is_released():
 
 def test_diagnostics_count_ratio_test_stops_and_halvings():
     # The pinned-bound problem above releases E[x^2] through a ratio-test
-    # stop; this indicator target takes damped steps.
+    # stop; this indicator target (one row on three atoms, so not a
+    # determined problem) takes damped steps.
     specs = [
         ConstraintSpec.interval(ConstraintFunction.power(1), 4.2, 4.5),
         ConstraintSpec.interval(ConstraintFunction.power(2), 17.2, 21.5),
@@ -833,9 +919,9 @@ def test_diagnostics_count_ratio_test_stops_and_halvings():
     d = solve_interval(Support.continuous(0.0, 5.0, 1024), specs).diagnostics
     assert d.ratio_stops >= 1
     d = solve_equality(
-        Support.continuous(0.0, 1.0, 128), [_indicator_spec(0.0, 0.1, 0.99)]
+        Support.continuous(0.0, 1.0, 128), [_indicator_spec(0.2, 0.3, 0.99)]
     ).diagnostics
-    assert d.halvings >= 1 and d.ratio_stops == 0
+    assert d.atoms == 3 and d.halvings >= 1 and d.ratio_stops == 0
     d = solve_equality(Support.continuous(0.0, 1.0, 128), [_mean_spec(0.5)]).diagnostics
     assert (d.halvings, d.ratio_stops) == (0, 0)
 

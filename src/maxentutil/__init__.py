@@ -13,7 +13,6 @@ from .core import (
     InfeasibleError,
     MaxentError,
     MaxEntSolution,
-    Problem,
     SolverDiagnostics,
     Support,
     ValidationError,
@@ -31,11 +30,9 @@ from .risk import (
     risk_aversion_numeric,
 )
 from .solver import (
-    DualState,
     SolveOptions,
     dual_gradient,
     dual_hessian,
-    dual_state,
     dual_value,
     log_partition,
     moments,
@@ -62,12 +59,10 @@ __all__ = [
     "ActiveSetCycleError",
     "ConstraintFunction",
     "ConstraintSpec",
-    "DualState",
     "EntropyValue",
     "InfeasibleError",
     "MaxentError",
     "MaxEntSolution",
-    "Problem",
     "RiskAversionProfile",
     "SolveOptions",
     "SolverDiagnostics",
@@ -84,7 +79,6 @@ __all__ = [
     "discrete_entropy",
     "dual_gradient",
     "dual_hessian",
-    "dual_state",
     "dual_value",
     "entropy_of_increments",
     "increments",

@@ -300,7 +300,11 @@ def _solve_density(spec: SpecFile) -> tuple[MaxEntSolution, UtilityCurve | None]
 
 def _solve_spec(spec: SpecFile) -> ResultBundle:
     solution, curve = _solve_density(spec)
-    family = classify_family(solution.constraints)
+    # A bracket that ends slack leaves the density as if it were absent.
+    active = solution.diagnostics.active_bounds
+    family = classify_family(
+        [c for c, a in zip(solution.constraints, active) if a != "slack"]
+    )
     profile = None
     if solution.support.is_continuous:
         if curve is None:
@@ -346,11 +350,11 @@ def cmd_entropy(args: argparse.Namespace) -> int:
                 f"--masses takes only --base2, not {', '.join(solve_flags)}"
             )
         masses = _floats(args.masses.replace(",", " ").split(), "--masses")
-        value = discrete_entropy(masses, args.base or "natural")
+        entropy, base = discrete_entropy(masses).value, args.base
     else:
         spec = _checked_spec(args)
-        solution, _ = _solve_density(spec)
-        value = EntropyValue(solution.entropy).in_base(spec.base or "natural")
+        entropy, base = _solve_density(spec)[0].entropy, spec.base
+    value = EntropyValue(entropy).in_base(base or "natural")
     sys.stdout.write(f"{_fmt(value.value)} ({_UNIT[value.base]})\n")
     return 0
 
@@ -361,25 +365,25 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Maximum-entropy densities and utility functions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The flags that set spec keys, shared by both commands.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--tol", type=float, default=None, help="residual tolerance")
+    common.add_argument("--max-iter", type=int, default=None, dest="max_iter")
+    common.add_argument("--nodes", type=int, default=None, help="quadrature nodes")
+    common.add_argument("--base2", action="store_const", const="base2", dest="base",
+                        help="report entropy in bits")
 
-    solve = sub.add_parser("solve", help="solve a spec file and print the result")
+    solve = sub.add_parser("solve", parents=[common],
+                           help="solve a spec file and print the result")
     solve.add_argument("spec", help="path to a problem spec file")
-    solve.add_argument("--tol", type=float, default=None, help="residual tolerance")
-    solve.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-    solve.add_argument("--nodes", type=int, default=None, help="quadrature nodes")
-    solve.add_argument("--base2", action="store_const", const="base2", dest="base",
-                       help="report entropy in bits")
     solve.add_argument("--out", default=None, help="write the table to this file")
     solve.add_argument("--quiet", action="store_true", help="suppress the summary")
     solve.set_defaults(func=cmd_solve)
 
-    entropy = sub.add_parser("entropy", help="entropy of masses or of a solved spec")
+    entropy = sub.add_parser("entropy", parents=[common],
+                             help="entropy of masses or of a solved spec")
     entropy.add_argument("spec", nargs="?", default=None)
     entropy.add_argument("--masses", default=None, help="comma-separated masses")
-    entropy.add_argument("--tol", type=float, default=None)
-    entropy.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-    entropy.add_argument("--nodes", type=int, default=None)
-    entropy.add_argument("--base2", action="store_const", const="base2", dest="base")
     entropy.set_defaults(func=cmd_entropy)
     return parser
 

@@ -38,7 +38,6 @@ __all__ = [
     "Support",
     "ConstraintFunction",
     "ConstraintSpec",
-    "Problem",
     "SolverDiagnostics",
     "MaxEntSolution",
     "validate_problem",
@@ -543,30 +542,14 @@ def _features_and_multipliers(
     return H, lam
 
 
-@dataclass(frozen=True)
-class Problem:
-    """A support with validated constraints, ready for the solver."""
-
-    support: Support
-    constraints: tuple[ConstraintSpec, ...]
-
-    @cached_property
-    def features(self) -> NDArray[np.float64]:
-        """The constraint functions tabulated once: one row per constraint,
-        one column per node.  Every solver step reads rows of this matrix."""
-        return _readonly(
-            _feature_matrix(self.support, [s.function for s in self.constraints])
-        )
-
-
 def validate_problem(
     support: Support, constraints: Sequence[ConstraintSpec]
-) -> Problem:
-    """Check constraints against the support and return the bundled problem.
+) -> tuple[ConstraintSpec, ...]:
+    """The constraints as a tuple, each checked against the support.
 
-    Validation is idempotent: re-validating a problem's own fields returns
-    an equal problem.  The first violated rule raises ValidationError with
-    the offending constraint's position.
+    Validation is idempotent: re-validating the returned tuple returns an
+    equal tuple.  The first violated rule raises ValidationError with the
+    offending constraint's position.
     """
     specs = tuple(constraints)
     for i, spec in enumerate(specs):
@@ -576,7 +559,7 @@ def validate_problem(
             spec.function.validate_on(support)
         except ValidationError as exc:
             raise ValidationError(f"constraint {i}: {exc}") from None
-    return Problem(support=support, constraints=specs)
+    return specs
 
 
 @dataclass(frozen=True)
@@ -628,10 +611,10 @@ class MaxEntSolution:
 
     The rebuild reads ``features``, the constraint functions tabulated at
     the nodes (one row per constraint), when the caller already holds them:
-    the solver passes its problem's matrix, so a solve tabulates each
+    the solver passes the matrix it solved on, so a solve tabulates each
     constraint once.  The matrix is not kept on the solution.  Without it,
     construction tabulates the constraints itself, as
-    :meth:`rebuild_density` always does.
+    :func:`exponential_density` does.
     """
 
     support: Support
@@ -674,12 +657,6 @@ class MaxEntSolution:
             )
         if not math.isfinite(self.entropy):
             raise ValidationError("solution entropy must be finite")
-
-    def rebuild_density(self) -> NDArray[np.float64]:
-        """Evaluate exp(-log_partition - sum_j m_j h_j(x)) at the nodes."""
-        return exponential_density(
-            self.support, self.constraints, self.multipliers, self.log_partition
-        )
 
 
 def exponential_density(

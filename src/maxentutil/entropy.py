@@ -2,8 +2,8 @@
 
 Discrete entropy is -sum p_i log p_i with the convention 0 log 0 = 0;
 differential entropy replaces the sum with a quadrature integral on the
-support's grid.  Natural log is the default; base-2 is available because
-nothing downstream depends on the unit.
+support's grid.  Each is taken in nats; :meth:`EntropyValue.in_base` is the
+one conversion to bits.
 """
 
 from __future__ import annotations
@@ -61,36 +61,34 @@ def _neg_xlogx(p: NDArray[np.float64]) -> NDArray[np.float64]:
     return -p * np.log(np.where(p > ZERO_MASS_FLOOR, p, 1.0))
 
 
-def _finish(value: float, base: str) -> EntropyValue:
+def _finish(value: float) -> EntropyValue:
     # Round-off can push a mathematically non-negative sum a hair below 0.
     if -1e-12 < value < 0.0:
         value = 0.0
-    return EntropyValue(value).in_base(base)
+    return EntropyValue(value)
 
 
-def discrete_entropy(
-    masses: Sequence[float] | NDArray[np.float64], base: str = "natural"
-) -> EntropyValue:
+def discrete_entropy(masses: Sequence[float] | NDArray[np.float64]) -> EntropyValue:
     """Entropy -sum p log p of a probability mass vector.
 
     The masses must be non-negative and sum to 1 within 1e-9.  The sum is
     returned as computed (the input is not renormalized).
     """
     p = _masses(masses, "masses", 1e-9)
-    return _finish(float(_neg_xlogx(p).sum()), base)
+    return _finish(float(_neg_xlogx(p).sum()))
 
 
 def differential_entropy(
-    density: NDArray[np.float64], support: Support, base: str = "natural"
+    density: NDArray[np.float64], support: Support
 ) -> EntropyValue:
     """Entropy -integral p log p of a density tabulated on a continuous grid."""
     if not support.is_continuous:
         raise ValidationError("differential entropy needs a continuous support")
     p = _density_on(support, density)
-    return _finish(support.integrate(_neg_xlogx(p)), base)
+    return _finish(support.integrate(_neg_xlogx(p)))
 
 
-def entropy_of_increments(increments, base: str = "natural") -> EntropyValue:
+def entropy_of_increments(increments) -> EntropyValue:
     """Entropy of a utility increment vector.
 
     Increments form a probability vector (non-negative, summing to 1), so
@@ -98,4 +96,4 @@ def entropy_of_increments(increments, base: str = "natural") -> EntropyValue:
     a UtilityIncrementVector or any plain sequence of increments.
     """
     arr = getattr(increments, "increments", increments)
-    return discrete_entropy(arr, base)
+    return discrete_entropy(arr)

@@ -89,7 +89,6 @@ from .core import (
     ConstraintSpec,
     InfeasibleError,
     MaxEntSolution,
-    Problem,
     SolverDiagnostics,
     Support,
     ValidationError,
@@ -107,12 +106,10 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SolveOptions",
-    "DualState",
     "log_partition",
     "dual_value",
     "dual_gradient",
     "dual_hessian",
-    "dual_state",
     "solve_equality",
     "solve_interval",
     "moments",
@@ -163,30 +160,6 @@ class SolveOptions:
         return DEFAULT_TOL_CONTINUOUS if support.is_continuous else DEFAULT_TOL_DISCRETE
 
 
-@dataclass(frozen=True, eq=False)
-class DualState:
-    """Snapshot of the dual problem at a multiplier vector.
-
-    The Hessian is symmetrized and must be positive semidefinite up to
-    1e-10; a violation means the moment computation itself is broken.
-    """
-
-    multipliers: NDArray[np.float64]
-    gradient: NDArray[np.float64]
-    hessian: NDArray[np.float64]
-    iteration: int
-
-    def __post_init__(self) -> None:
-        m = len(self.multipliers)
-        if self.gradient.shape != (m,) or self.hessian.shape != (m, m):
-            raise ValidationError("dual state shapes disagree")
-        if m > 0:
-            if not np.allclose(self.hessian, self.hessian.T, atol=1e-10):
-                raise ValidationError("dual Hessian must be symmetric")
-            if float(np.linalg.eigvalsh(self.hessian).min()) < -1e-10:
-                raise ValidationError("dual Hessian must be positive semidefinite")
-
-
 def _dual_kernel(
     H: NDArray[np.float64], w: NDArray[np.float64], lam: NDArray[np.float64]
 ) -> tuple[float, NDArray[np.float64]]:
@@ -224,9 +197,10 @@ def _covariance(
 
 
 def _equality_targets(constraints: Sequence[ConstraintSpec]) -> NDArray[np.float64]:
-    for spec in constraints:
+    for i, spec in enumerate(constraints):
         if not spec.is_equality:
-            raise ValidationError("dual calculus is defined for equality targets")
+            raise ValidationError(f"constraint {i}: {spec.function.label()} has "
+                                  "an interval target, which only solve_interval takes")
     return np.array([spec.equals for spec in constraints], dtype=np.float64)
 
 
@@ -283,22 +257,6 @@ def dual_hessian(
     """Hessian of the dual: the covariance matrix of the h_j under p."""
     functions = [s.function for s in constraints]
     return _covariance(*_dual(support, functions, multipliers)[2:])
-
-
-def dual_state(
-    support: Support,
-    constraints: Sequence[ConstraintSpec],
-    multipliers: Sequence[float] | NDArray[np.float64],
-    iteration: int = 0,
-) -> DualState:
-    b = _equality_targets(constraints)
-    lam, _, H, wp, mom = _dual(support, [s.function for s in constraints], multipliers)
-    return DualState(
-        multipliers=lam,
-        gradient=b - mom,
-        hessian=_covariance(H, wp, mom),
-        iteration=iteration,
-    )
 
 
 def _bracket_rows(
@@ -386,14 +344,13 @@ def _newton(
     w: NDArray[np.float64],
     lo: NDArray[np.float64],
     hi: NDArray[np.float64],
-    lam0: NDArray[np.float64],
     h_size: NDArray[np.float64],
     tol: float,
     max_iter: int,
     exact: NDArray[np.float64] | None = None,
 ) -> tuple[NDArray[np.float64], int, float, tuple[float, ...], int, int]:
     """Damped Newton descent on the bracket dual
-    D(lam) = log Z(lam) + sum_j max(lam_j lo_j, lam_j hi_j) from ``lam0``.
+    D(lam) = log Z(lam) + sum_j max(lam_j lo_j, lam_j hi_j) from zero.
     Returns the multipliers, the accepted steps, the final gradient max-norm,
     D at the start and after every accepted step, the line search's
     halvings and the multipliers its accepted steps stopped at zero.
@@ -409,11 +366,11 @@ def _newton(
     scale of D's rounding.
 
     ``exact``, a determined problem's multipliers (see :func:`_determined`),
-    replaces the first Newton direction with ``exact - lam0``.  The line
-    search takes that step whole or not at all: when Armijo rejects it,
-    Newton takes its own first step instead, as if ``exact`` were None."""
+    replaces the first Newton direction with the step from zero to them.
+    The line search takes that step whole or not at all: when Armijo rejects
+    it, Newton takes its own first step instead, as if ``exact`` were None."""
     m = H.shape[0]
-    lam = np.array(lam0, dtype=np.float64)
+    lam = np.zeros(m)
     bracket = (lo < hi).tolist()
     any_bracket = any(bracket)
     lows, highs = lo.tolist(), hi.tolist()
@@ -528,16 +485,12 @@ def _determined(
             return None
 
 
-def _entropy_of(support: Support, density: NDArray[np.float64]) -> float:
-    if support.is_continuous:
-        return differential_entropy(density, support).value
-    return discrete_entropy(density).value
-
-
-def _solve(problem: Problem, options: SolveOptions) -> MaxEntSolution:
-    """One Newton run on the problem's feature matrix."""
-    support, specs = problem.support, problem.constraints
-    H, w = problem.features, support.weights
+def _solve(
+    support: Support, specs: tuple[ConstraintSpec, ...], options: SolveOptions
+) -> MaxEntSolution:
+    """One Newton run on the validated specs: the one place a solve
+    tabulates them, once, into the feature matrix every step reads."""
+    H, w = _feature_matrix(support, [s.function for s in specs]), support.weights
     tol = options.resolve_tol(support)
 
     # An equality is the bracket with lo == hi.
@@ -578,8 +531,7 @@ def _solve(problem: Problem, options: SolveOptions) -> MaxEntSolution:
     if starts is not None and Ha.shape[1] == len(specs) + 1 and (lo == hi).all():
         exact = _determined(Ha, wa, Hc, lo)
     lam, iters, gnorm, trace, halvings, ratio_stops = _newton(
-        Hc, wa, lo - center, hi - center, np.zeros(len(specs)), hc_size, tol,
-        options.max_iter, exact,
+        Hc, wa, lo - center, hi - center, hc_size, tol, options.max_iter, exact,
     )
 
     top, shifted = _shifted_exponent(H, lam)
@@ -602,6 +554,8 @@ def _solve(problem: Problem, options: SolveOptions) -> MaxEntSolution:
             )
         labels.append("hi" if lam[i] > 0.0 else "lo" if lam[i] < 0.0 else "slack")
 
+    entropy = (differential_entropy(density, support) if support.is_continuous
+               else discrete_entropy(density))
     diagnostics = SolverDiagnostics(
         iterations=iters,
         grad_max_norm=gnorm,
@@ -618,7 +572,7 @@ def _solve(problem: Problem, options: SolveOptions) -> MaxEntSolution:
         density=density,
         multipliers=lam,
         log_partition=lz,
-        entropy=_entropy_of(support, density),
+        entropy=entropy.value,
         diagnostics=diagnostics,
         features=H,
     )
@@ -636,9 +590,9 @@ def solve_equality(
     attainable range, or when the iteration cannot meet the residual
     tolerance.
     """
-    problem = validate_problem(support, constraints)
-    _equality_targets(problem.constraints)
-    return _solve(problem, options)
+    specs = validate_problem(support, constraints)
+    _equality_targets(specs)
+    return _solve(support, specs, options)
 
 
 def solve_interval(
@@ -654,7 +608,7 @@ def solve_interval(
     With equality constraints only, this is the same solve as
     :func:`solve_equality`.
     """
-    return _solve(validate_problem(support, constraints), options)
+    return _solve(support, validate_problem(support, constraints), options)
 
 
 def moments(

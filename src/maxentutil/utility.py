@@ -27,6 +27,7 @@ from .core import (
     Support,
     ValidationError,
     _density_on,
+    _finite,
     _integer,
     _masses,
     _readonly,
@@ -281,7 +282,8 @@ def maxent_utility_from_assessments(
     assessments: Sequence[tuple[float, float]],
     options: SolveOptions = SolveOptions(),
 ) -> tuple[UtilityCurve, MaxEntSolution]:
-    """Maximum-entropy utility through assessed points U(x_k) = v_k.
+    """Maximum-entropy utility through assessed points U(x_k) = v_k, each
+    assessment a pair (x_k, v_k) of finite real numbers.
 
     Each assessment becomes an indicator-moment constraint
     E[1_{[a, x_k]}] = v_k on the utility density, solved by the same dual
@@ -308,6 +310,14 @@ def maxent_utility_from_assessments(
         raise ValidationError("utility curves need a continuous support")
     if len(assessments) == 0:
         raise ValidationError("at least one assessment is required")
+    for i, item in enumerate(assessments):
+        try:
+            x, v = item
+        except (TypeError, ValueError):  # not a pair
+            x = v = None
+        if not (_finite(x) and _finite(v)):
+            raise ValidationError(f"assessment {i}: {item!r} is not a pair "
+                                  "(point, value) of finite real numbers")
     xs = np.array([float(x) for x, _ in assessments])
     vs = np.array([float(v) for _, v in assessments])
     a, b = support.lower, support.upper

@@ -109,6 +109,28 @@ def test_summary_reports_interval_activity():
     assert float(info["multiplier[0]"]) < 0.0
 
 
+@pytest.mark.parametrize(
+    "constraints,family",
+    [
+        (["power 1 in 0.4 0.6"], "linear_risk_neutral"),
+        (["power 1 in 0.4 0.6", "power 2 eq 0.34"], "general"),
+    ],
+)
+def test_family_leaves_out_slack_brackets(tmp_path, capsys, constraints, family):
+    spec = tmp_path / "slack.spec"
+    lines = ["domain = 0 1", *(f"constraint = {c}" for c in constraints)]
+    spec.write_text("\n".join(lines) + "\n")
+    out = str(tmp_path / "t.csv")
+    assert main(["solve", str(spec), "--out", out]) == 0
+    info = summary_dict(capsys.readouterr().out)
+    assert info["active[0]"] == "slack"
+    assert info["family"] == family
+    # A bracket that binds still counts.
+    assert main(["solve", str(DATA / "interval.spec"), "--out", out]) == 0
+    info = summary_dict(capsys.readouterr().out)
+    assert (info["active[0]"], info["family"]) == ("lo", "cara")
+
+
 def test_discrete_spec_has_no_curve_column():
     res = run_cli("solve", str(DATA / "coin.spec"), "--quiet")
     assert res.returncode == 0
@@ -343,6 +365,18 @@ def test_mixed_styles_are_rejected(tmp_path):
     res = run_cli("solve", str(spec))
     assert res.returncode == 1
     assert "one style" in res.stderr
+
+
+@pytest.mark.parametrize("line", ["nan 0.5", "0.5 nan", "0.5 inf"])
+def test_a_non_finite_assessment_exits_one(tmp_path, capsys, line):
+    spec = tmp_path / "nan.spec"
+    spec.write_text(f"domain = 0 1\nassessment = {line}\n")
+    assert main(["solve", str(spec)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    x, v = (float(t) for t in line.split())
+    assert err == (f"error: assessment 0: {(x, v)!r} is not a pair (point, value) "
+                   "of finite real numbers\n")
 
 
 def test_bad_masses_exit_one():

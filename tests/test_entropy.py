@@ -20,15 +20,15 @@ H_QUARTER = 0.5623351446188083
 
 
 def _h(masses, base="natural") -> float:
-    return discrete_entropy(masses, base=base).value
+    return discrete_entropy(masses).in_base(base).value
 
 
 def _hd(density, support, base="natural") -> float:
-    return differential_entropy(density, support, base=base).value
+    return differential_entropy(density, support).in_base(base).value
 
 
 def _hi(increments, base="natural") -> float:
-    return entropy_of_increments(increments, base=base).value
+    return entropy_of_increments(increments).in_base(base).value
 
 
 def test_fair_coin_entropy():
@@ -214,7 +214,7 @@ def test_entropy_value_rejects_unknown_base():
     for convert in (
         lambda: EntropyValue(1.0).in_base("base3"),
         lambda: EntropyValue(1.0, "base2").in_base("base3"),
-        lambda: discrete_entropy([0.5, 0.5], base="base3"),
+        lambda: _h([0.5, 0.5], base="base3"),
         lambda: _hd(np.ones(64), Support.continuous(0.0, 1.0, 64), base="base3"),
     ):
         with pytest.raises(ValidationError, match="entropy base must be one of"):

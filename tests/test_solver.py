@@ -21,8 +21,8 @@ from maxentutil.core import (
     MaxEntSolution,
     Support,
     ValidationError,
+    _feature_matrix,
     exponential_density,
-    validate_problem,
 )
 from maxentutil import solver
 from maxentutil.solver import (
@@ -33,7 +33,6 @@ from maxentutil.solver import (
     _ratio_test,
     dual_gradient,
     dual_hessian,
-    dual_state,
     dual_value,
     log_partition,
     moments,
@@ -144,7 +143,10 @@ def test_solution_dominates_feasible_competitors():
 
 def test_solution_reconstructs_bit_for_bit():
     sol = solve_equality(Support.continuous(0.0, 5.0, 256), [_mean_spec(1.0)])
-    assert np.array_equal(sol.rebuild_density(), sol.density)
+    rebuilt = exponential_density(
+        sol.support, sol.constraints, sol.multipliers, sol.log_partition
+    )
+    assert np.array_equal(rebuilt, sol.density)
 
 
 def _oracle_solutions():
@@ -193,7 +195,7 @@ def _solved_fields():
     specs = [_mean_spec(1.2), ConstraintSpec.equality(ConstraintFunction.power(2), 2.5)]
     sol = solve_equality(Support.continuous(0.0, 5.0, 256), specs)
     fields = {f.name: getattr(sol, f.name) for f in dataclasses.fields(sol)}
-    return fields, validate_problem(sol.support, sol.constraints).features
+    return fields, _feature_matrix(sol.support, [s.function for s in sol.constraints])
 
 
 def test_solver_style_construction_rejects_a_density_off_by_one_part_in_1e9():
@@ -545,7 +547,7 @@ def test_solve_tabulates_each_constraint_once(monkeypatch, solve, specs):
 def _full_grid_multipliers(sol):
     """The multipliers `_newton` reaches on the full centered grid (Hc, w)
     from zero."""
-    H = validate_problem(sol.support, sol.constraints).features
+    H = _feature_matrix(sol.support, [s.function for s in sol.constraints])
     w = sol.support.weights
     center = (H @ w) / float(w.sum())
     Hc = H - center[:, None]
@@ -553,8 +555,8 @@ def _full_grid_multipliers(sol):
         [(s.equals, s.equals) if s.is_equality else s.bounds for s in sol.constraints]
     ).T
     return _newton(
-        Hc, w, lo - center, hi - center, np.zeros(len(lo)),
-        np.abs(Hc).max(axis=1), SolveOptions().resolve_tol(sol.support), 200,
+        Hc, w, lo - center, hi - center, np.abs(Hc).max(axis=1),
+        SolveOptions().resolve_tol(sol.support), 200,
     )[0]
 
 
@@ -701,57 +703,75 @@ def test_an_exact_step_that_armijo_rejects_gives_way_to_newtons_own(monkeypatch)
 
 # ---------------------------------------------------------------- dual maps
 
+# A mean of 0.75 on {0, 1}: at zero multipliers the dual gradient is
+# b - E[x] = 0.75 - 0.5 and the Hessian is Var[x] = 0.25.
+COIN = (Support.discrete([0.0, 1.0]), [_mean_spec(0.75)])
+
+
 def test_dual_gradient_matches_finite_differences():
     rng = np.random.default_rng(41)
-    support = Support.continuous(0.0, 2.0, 128)
-    specs = [
-        ConstraintSpec.equality(ConstraintFunction.power(1), 0.9),
-        ConstraintSpec.equality(ConstraintFunction.power(2), 1.1),
-    ]
-    for _ in range(10):
-        lam = rng.normal(scale=0.7, size=2)
-        grad = dual_gradient(support, specs, lam)
-        eps = 1e-6
-        for j in range(2):
-            step = np.zeros(2)
-            step[j] = eps
-            fd = (
-                dual_value(support, specs, lam + step)
-                - dual_value(support, specs, lam - step)
-            ) / (2.0 * eps)
-            denom = max(1.0, abs(fd))
-            assert abs(grad[j] - fd) / denom < 1e-6
+    powers = (
+        Support.continuous(0.0, 2.0, 128),
+        [
+            ConstraintSpec.equality(ConstraintFunction.power(1), 0.9),
+            ConstraintSpec.equality(ConstraintFunction.power(2), 1.1),
+        ],
+    )
+    assert dual_gradient(*COIN, np.zeros(1))[0] == pytest.approx(0.25, abs=1e-15)
+    for support, specs in (powers, COIN):
+        m = len(specs)
+        for _ in range(10):
+            lam = rng.normal(scale=0.7, size=m)
+            grad = dual_gradient(support, specs, lam)
+            eps = 1e-6
+            for j in range(m):
+                step = np.zeros(m)
+                step[j] = eps
+                fd = (
+                    dual_value(support, specs, lam + step)
+                    - dual_value(support, specs, lam - step)
+                ) / (2.0 * eps)
+                denom = max(1.0, abs(fd))
+                assert abs(grad[j] - fd) / denom < 1e-6
 
 
 def test_dual_hessian_matches_finite_differences_and_is_psd():
     rng = np.random.default_rng(43)
-    support = Support.discrete([0.0, 0.5, 1.2, 2.0])
+    powers = (
+        Support.discrete([0.0, 0.5, 1.2, 2.0]),
+        [
+            ConstraintSpec.equality(ConstraintFunction.power(1), 1.0),
+            ConstraintSpec.equality(ConstraintFunction.power(3), 1.5),
+        ],
+    )
+    assert dual_hessian(*COIN, np.zeros(1))[0, 0] == pytest.approx(0.25, abs=1e-15)
+    for support, specs in (powers, COIN):
+        m = len(specs)
+        for _ in range(10):
+            lam = rng.normal(scale=0.5, size=m)
+            hess = dual_hessian(support, specs, lam)
+            assert np.array_equal(hess, hess.T)
+            assert np.min(np.linalg.eigvalsh(hess)) >= -1e-10
+            eps = 1e-5
+            for j in range(m):
+                step = np.zeros(m)
+                step[j] = eps
+                fd = (
+                    dual_gradient(support, specs, lam + step)
+                    - dual_gradient(support, specs, lam - step)
+                ) / (2.0 * eps)
+                assert np.max(np.abs(hess[:, j] - fd)) < 1e-5
+
+
+def test_solve_equality_names_a_bracket_row_and_solve_interval():
     specs = [
-        ConstraintSpec.equality(ConstraintFunction.power(1), 1.0),
-        ConstraintSpec.equality(ConstraintFunction.power(3), 1.5),
+        _mean_spec(0.5), ConstraintSpec.interval(ConstraintFunction.power(2), 0.2, 0.4)
     ]
-    for _ in range(10):
-        lam = rng.normal(scale=0.5, size=2)
-        hess = dual_hessian(support, specs, lam)
-        assert np.array_equal(hess, hess.T)
-        assert np.min(np.linalg.eigvalsh(hess)) >= -1e-10
-        eps = 1e-5
-        for j in range(2):
-            step = np.zeros(2)
-            step[j] = eps
-            fd = (
-                dual_gradient(support, specs, lam + step)
-                - dual_gradient(support, specs, lam - step)
-            ) / (2.0 * eps)
-            assert np.max(np.abs(hess[:, j] - fd)) < 1e-5
-
-
-def test_dual_state_bundles_the_three_maps():
-    support = Support.discrete([0.0, 1.0])
-    specs = [_mean_spec(0.75)]
-    state = dual_state(support, specs, np.array([0.0]))
-    assert state.gradient[0] == pytest.approx(0.25, abs=1e-15)
-    assert state.hessian[0, 0] == pytest.approx(0.25, abs=1e-15)
+    with pytest.raises(ValidationError) as err:
+        solve_equality(Support.continuous(0.0, 1.0, 128), specs)
+    assert str(err.value) == (
+        "constraint 1: power 2 has an interval target, which only solve_interval takes"
+    )
 
 
 DUAL_MAPS = {
@@ -761,7 +781,6 @@ DUAL_MAPS = {
     "dual_value": dual_value,
     "dual_gradient": dual_gradient,
     "dual_hessian": dual_hessian,
-    "dual_state": dual_state,
     "exponential_density": lambda sup, specs, lam: exponential_density(
         sup, specs, lam, 0.0
     ),

@@ -476,6 +476,22 @@ def test_assessments_validate():
         )
 
 
+@pytest.mark.parametrize(
+    "item",
+    [(math.nan, 0.5), (0.5, math.nan), (0.5, math.inf), ("0.5", 0.8), (0.5, "0.8"),
+     (0.5, 0.8, 1), (0.5,), 0.5],
+    ids=["nan point", "nan value", "inf value", "str point", "str value",
+         "triple", "single", "scalar"],
+)
+def test_each_assessment_is_a_pair_of_finite_numbers(item):
+    s = Support.continuous(0.0, 1.0, 128)
+    with pytest.raises(ValidationError) as err:
+        maxent_utility_from_assessments(s, [(0.2, 0.3), item])
+    assert str(err.value) == (
+        f"assessment 1: {item!r} is not a pair (point, value) of finite real numbers"
+    )
+
+
 # ------------------------------------------------------------------ volumes
 
 def test_utility_volume_closed_form():

@@ -100,6 +100,15 @@ def _finite(value) -> bool:
         return False
 
 
+def _reals(values, message: str) -> tuple[float, ...]:
+    """``values`` as a tuple of Python floats, each passing :func:`_finite`;
+    ValidationError(message) for anything else, a non-iterable included."""
+    items = tuple(values) if np.iterable(values) else (None,)
+    if not all(map(_finite, items)):
+        raise ValidationError(message)
+    return tuple(map(float, items))
+
+
 def _masses(values: ArrayLike, noun: str, tol: float) -> NDArray[np.float64]:
     """``values`` as a probability mass vector, non-empty, finite and
     non-negative, of sum 1 within ``tol``; ``noun`` names it in errors."""
@@ -176,13 +185,13 @@ class Support:
 
     Attributes:
         kind: ``"discrete"`` or ``"continuous"``.
-        a, b: interval endpoints (continuous only).
+        a, b: interval endpoints (continuous only), stored as floats.
         n: number of nodes (grid size, or the number of discrete points);
             an int (numpy integers are stored as int; bools and floats
             raise ValidationError).
         points: the discrete points (discrete only): a flat sequence of
             integers or floats, strictly increasing as floats (a tuple
-            mixing bools and floats converts).
+            mixing bools and floats converts), stored as a tuple of floats.
     """
 
     kind: str
@@ -194,20 +203,22 @@ class Support:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _integer(self.n, "node count must be an integer"))
         if self.kind == "discrete":
-            if self.points is None or len(self.points) < 2:
-                raise ValidationError("discrete support needs at least 2 points")
             try:
-                arr = np.asarray(self.points)
+                arr = np.asarray(() if self.points is None else self.points)
             except ValueError:  # ragged, such as ([0.5], 2.0)
                 arr = None
             if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
                 raise ValidationError("support points must be real numbers")
+            if len(arr) < 2:
+                raise ValidationError("discrete support needs at least 2 points")
             if not np.isfinite(arr).all():
                 raise ValidationError("support points must be finite")
-            if not (np.diff(arr.astype(np.float64, copy=False)) > 0).all():
+            pts = arr.astype(np.float64)
+            if not (np.diff(pts) > 0).all():
                 raise ValidationError("support points must be strictly increasing")
-            if self.n != len(self.points):
+            if self.n != len(pts):
                 raise ValidationError("discrete support size disagrees with its points")
+            object.__setattr__(self, "points", tuple(pts.tolist()))
         elif self.kind == "continuous":
             if self.a is None or self.b is None:
                 raise ValidationError("continuous support needs bounds a and b")
@@ -219,17 +230,19 @@ class Support:
                 raise ValidationError(
                     f"continuous support needs at least {MIN_CONTINUOUS_NODES} nodes"
                 )
+            object.__setattr__(self, "a", float(self.a))
+            object.__setattr__(self, "b", float(self.b))
         else:
             raise ValidationError(f"unknown support kind {self.kind!r}")
 
     @classmethod
     def discrete(cls, points: Iterable[float]) -> "Support":
-        pts = tuple(float(x) for x in points)
-        return cls(kind="discrete", points=pts, n=len(pts))
+        pts = tuple(points) if np.iterable(points) else points  # len() needs a tuple
+        return cls(kind="discrete", points=pts, n=len(pts) if np.iterable(pts) else 0)
 
     @classmethod
     def continuous(cls, a: float, b: float, n: int = DEFAULT_NODES) -> "Support":
-        return cls(kind="continuous", a=float(a), b=float(b), n=n)
+        return cls(kind="continuous", a=a, b=b, n=n)
 
     @property
     def is_continuous(self) -> bool:
@@ -369,15 +382,18 @@ class ConstraintFunction:
                 raise ValidationError("indicator edges must be finite real numbers")
             if not self.lower < self.upper:
                 raise ValidationError("indicator requires lower < upper")
+            object.__setattr__(self, "lower", float(self.lower))
+            object.__setattr__(self, "upper", float(self.upper))
         elif self.kind == "tabulated":
-            if self.values is None or len(self.values) == 0:
+            values = _reals(self.values, "tabulated values must be finite real numbers")
+            if not values:
                 raise ValidationError("tabulated constraint needs values")
-            if not all(map(_finite, self.values)):
-                raise ValidationError("tabulated values must be finite real numbers")
-            if self.slope is not None and len(self.slope) != len(self.values):
+            slope = None if self.slope is None else _reals(
+                self.slope, "tabulated slope must be finite real numbers")
+            if slope is not None and len(slope) != len(values):
                 raise ValidationError("tabulated slope must match values in length")
-            if self.slope is not None and not all(map(_finite, self.slope)):
-                raise ValidationError("tabulated slope must be finite real numbers")
+            object.__setattr__(self, "values", values)
+            object.__setattr__(self, "slope", slope)
         else:
             raise ValidationError(f"unknown constraint kind {self.kind!r}")
 
@@ -387,7 +403,7 @@ class ConstraintFunction:
 
     @classmethod
     def indicator(cls, lower: float, upper: float) -> "ConstraintFunction":
-        return cls(kind="indicator", lower=float(lower), upper=float(upper))
+        return cls(kind="indicator", lower=lower, upper=upper)
 
     @classmethod
     def tabulated(
@@ -395,11 +411,7 @@ class ConstraintFunction:
         values: Iterable[float],
         slope: Iterable[float] | None = None,
     ) -> "ConstraintFunction":
-        return cls(
-            kind="tabulated",
-            values=tuple(float(v) for v in values),
-            slope=None if slope is None else tuple(float(s) for s in slope),
-        )
+        return cls(kind="tabulated", values=values, slope=slope)
 
     def validate_on(self, support: Support) -> None:
         if self.kind == "indicator":
@@ -494,26 +506,27 @@ class ConstraintSpec:
             raise ValidationError(
                 "constraint needs exactly one of an equality target or bounds"
             )
-        if self.equals is not None and not _finite(self.equals):
-            raise ValidationError("equality target must be a finite real number")
+        if self.equals is not None:
+            if not _finite(self.equals):
+                raise ValidationError("equality target must be a finite real number")
+            object.__setattr__(self, "equals", float(self.equals))
         if self.bounds is not None:
             if not (isinstance(self.bounds, tuple) and len(self.bounds) == 2):
                 raise ValidationError("interval bounds must be a (lo, hi) pair")
-            lo, hi = self.bounds
-            if not (_finite(lo) and _finite(hi)):
-                raise ValidationError("interval bounds must be finite real numbers")
+            lo, hi = _reals(self.bounds, "interval bounds must be finite real numbers")
             if lo > hi:
                 raise ValidationError("interval target requires lo <= hi")
+            object.__setattr__(self, "bounds", (lo, hi))
 
     @classmethod
     def equality(cls, function: ConstraintFunction, value: float) -> "ConstraintSpec":
-        return cls(function=function, equals=float(value))
+        return cls(function=function, equals=value)
 
     @classmethod
     def interval(
         cls, function: ConstraintFunction, lo: float, hi: float
     ) -> "ConstraintSpec":
-        return cls(function=function, bounds=(float(lo), float(hi)))
+        return cls(function=function, bounds=(lo, hi))
 
     @property
     def is_equality(self) -> bool:
@@ -526,6 +539,8 @@ def _feature_matrix(
     """Row j holds functions[j] tabulated at every support node."""
     H = np.empty((len(functions), support.n))
     for j, f in enumerate(functions):
+        if not isinstance(f, ConstraintFunction):
+            raise ValidationError(f"constraint function {j}: not a ConstraintFunction")
         H[j] = f.tabulate(support)
     return H
 
@@ -602,12 +617,13 @@ class MaxEntSolution:
     """A solved maximum-entropy density in exponential form.
 
     The density at node x_i is exp(-log_partition - sum_j m_j h_j(x_i)) with
-    multipliers m.  Construction re-derives the density from the multipliers
-    by the solver's rule and rejects the solution if anything fails to line up:
+    multipliers m.  Construction rebuilds both from the multipliers by the
+    solver's rule (:func:`_exponential_form`) and rejects the solution if
+    anything fails to line up:
 
     * density strictly positive at every node;
     * total mass 1 (sum for discrete, quadrature for continuous);
-    * the rebuilt density matches the stored one to 1e-12 relative error.
+    * log_partition and the density (relative) within 1e-12 of the rebuild.
 
     The rebuild reads ``features``, the constraint functions tabulated at
     the nodes (one row per constraint), when the caller already holds them:
@@ -640,20 +656,20 @@ class MaxEntSolution:
         tol = MASS_TOL_CONTINUOUS if self.support.is_continuous else MASS_TOL_DISCRETE
         if abs(mass - 1.0) > tol:
             raise ValidationError(f"solution mass {mass!r} is not 1 within {tol:g}")
-        if features is None:
-            H = _feature_matrix(self.support, [s.function for s in self.constraints])
-        else:
-            H = np.asarray(features, dtype=np.float64)
+        H = (_feature_matrix(self.support, [s.function for s in self.constraints])
+             if features is None else np.asarray(features, dtype=np.float64))
         if H.shape != (m, n):
             raise ValidationError(
                 "solution features need one row per constraint and one column "
                 "per node"
             )
-        rebuilt = _exponential_density(H, self.multipliers, self.log_partition)
-        rel = (np.abs(rebuilt - self.density) / self.density).max()
-        if rel > RECONSTRUCTION_RTOL:
+        lz, rebuilt = _exponential_form(H, self.support.weights, self.multipliers)
+        # log Z's miss comes first, so that a NaN there fails the test too.
+        err = max(abs(lz - self.log_partition),
+                  (np.abs(rebuilt - self.density) / self.density).max())
+        if not err <= RECONSTRUCTION_RTOL:
             raise ValidationError(
-                f"density does not match its multipliers (rel err {rel:.3e})"
+                f"log Z and density do not match their multipliers (err {err:.3e})"
             )
         if not math.isfinite(self.entropy):
             raise ValidationError("solution entropy must be finite")
@@ -663,31 +679,24 @@ def exponential_density(
     support: Support,
     constraints: Sequence[ConstraintSpec],
     multipliers: NDArray[np.float64],
-    log_partition: float,
 ) -> NDArray[np.float64]:
-    """Density exp(-log_partition - sum_j m_j h_j(x)) at the support nodes,
-    with the constraint functions tabulated afresh.  It takes the rule the
-    solver reports its density by (:func:`_exponential_density`), so a
-    solution reconstructs bit for bit from its own multipliers."""
-    H, lam = _features_and_multipliers(
-        support, [spec.function for spec in constraints], multipliers
-    )
-    return _exponential_density(H, lam, log_partition)
+    """Density exp(-log Z - sum_j m_j h_j(x)) at the support nodes, the
+    constraints checked and tabulated afresh, by the solver's rule
+    (:func:`_exponential_form`): a solution rebuilds bit for bit."""
+    functions = [s.function for s in validate_problem(support, constraints)]
+    H, lam = _features_and_multipliers(support, functions, multipliers)
+    return _exponential_form(H, support.weights, lam)[1]
 
 
-def _shifted_exponent(
-    H: NDArray[np.float64], multipliers: NDArray[np.float64]
-) -> tuple[np.float64, NDArray[np.float64]]:
-    """(top, exp(e - top)) for the exponent e = -sum_j m_j h_j at the nodes,
-    top its maximum, so that e cannot overflow; no other code forms e."""
+def _exponential_form(
+    H: NDArray[np.float64], w: NDArray[np.float64], multipliers: NDArray[np.float64]
+) -> tuple[float, NDArray[np.float64]]:
+    """log Z and p = exp(e - log Z) for e = -sum_j m_j H[j] and weights w, by
+    one rule for Newton, the dual maps, each solve and its check: p is
+    exp(e - top) * exp(top - log Z) with top = max e, which cannot overflow
+    and carries log Z's rounding, not Z's (the 128-node uniform density is 1)."""
     expo = multipliers @ H  # -e; e - top rounds as min(-e) - (-e), in place
     low = expo.min()
-    return -low, np.exp(np.subtract(low, expo, out=expo), out=expo)
-
-
-def _exponential_density(
-    H: NDArray[np.float64], multipliers: NDArray[np.float64], log_partition: float
-) -> NDArray[np.float64]:
-    """The reported density: exp(e - top) scaled by exp(top - log_partition)."""
-    top, shifted = _shifted_exponent(H, multipliers)
-    return shifted * math.exp(top - log_partition)
+    shifted = np.exp(np.subtract(low, expo, out=expo), out=expo)
+    log_z = float(np.log(w @ shifted) - low)
+    return log_z, np.multiply(shifted, math.exp(-low - log_z), out=shifted)

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .core import Support, ValidationError, _density_on, _masses
+from .core import Support, ValidationError, _density_on, _finite, _masses
 
 if TYPE_CHECKING:
     from numpy.typing import NDArray
@@ -43,8 +43,8 @@ class EntropyValue:
     def __post_init__(self) -> None:
         if self.base not in _BASES:
             raise ValidationError(f"entropy base must be one of {_BASES}")
-        if not math.isfinite(self.value):
-            raise ValidationError("entropy value must be finite")
+        if not _finite(self.value):
+            raise ValidationError("entropy value must be a finite real number")
 
     def in_base(self, base: str) -> "EntropyValue":
         if base == self.base:

@@ -12,15 +12,8 @@ and the multipliers m minimize the smooth convex dual
 whose gradient is b - E_m[h] and whose Hessian is the covariance matrix of
 the h_j under p.
 
-Only :func:`~maxentutil.core._shifted_exponent` forms the exponent
--sum_j m_j h_j; it exponentiates it shifted by its maximum, top, so that it
-cannot overflow.  Newton and the dual maps (:func:`_dual_kernel`) divide that
-by the shifted Z: Newton's multipliers follow its density's last bits, and
-ill-conditioned 128-node problems moved by up to 1.3e-3 relative under the
-reported rule.  A solve takes log Z and its reported density from one
-exponent, scaled by exp(top - log Z) as :class:`MaxEntSolution` checks it, so
-the density carries log Z's rounding, not Z's: the uniform density on 128
-nodes of [0, 1] is 1, not 1.0000000000000002.
+Newton, the dual maps and each solve take log Z and the density from one
+function, :func:`~maxentutil.core._exponential_form`, by one rounding rule.
 
 There is one solve path, and it also takes interval targets
 lo <= E[h] <= hi.  Their dual is one convex function,
@@ -77,7 +70,6 @@ full-grid evaluation loses the mass to rounding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -92,11 +84,11 @@ from .core import (
     SolverDiagnostics,
     Support,
     ValidationError,
+    _exponential_form,
     _feature_matrix,
     _features_and_multipliers,
     _finite,
     _integer,
-    _shifted_exponent,
     validate_problem,
 )
 from .entropy import differential_entropy, discrete_entropy
@@ -160,16 +152,6 @@ class SolveOptions:
         return DEFAULT_TOL_CONTINUOUS if support.is_continuous else DEFAULT_TOL_DISCRETE
 
 
-def _dual_kernel(
-    H: NDArray[np.float64], w: NDArray[np.float64], lam: NDArray[np.float64]
-) -> tuple[float, NDArray[np.float64]]:
-    """log Z and Newton's node density p = shifted / Z at multipliers lam,
-    with Z = sum_i w_i exp(-sum_j lam_j H[j, i]) (see the module docstring)."""
-    top, shifted = _shifted_exponent(H, lam)
-    z = w @ shifted
-    return float(top + np.log(z)), np.divide(shifted, z, out=shifted)
-
-
 def _inverse_factor(x: NDArray[np.float64]) -> NDArray[np.float64]:
     """``np.linalg.inv(np.linalg.cholesky(x))`` bit for bit, from the LAPACK
     gufuncs it calls; FloatingPointError where it raises LinAlgError."""
@@ -213,7 +195,7 @@ def _dual(
     """The dual maps' one evaluation: the checked multipliers, log Z, the
     feature matrix, node masses w*p and moments E[h] at the multipliers."""
     H, lam = _features_and_multipliers(support, functions, multipliers)
-    lz, p = _dual_kernel(H, support.weights, lam)
+    lz, p = _exponential_form(H, support.weights, lam)
     wp = support.weights * p
     return lam, lz, H, wp, wp @ H.T
 
@@ -234,9 +216,9 @@ def dual_value(
     multipliers: Sequence[float] | NDArray[np.float64],
 ) -> float:
     """D(m) = log Z(m) + m . b for equality constraints."""
-    b = _equality_targets(constraints)
-    lam, lz, *_ = _dual(support, [s.function for s in constraints], multipliers)
-    return lz + float(lam @ b)
+    specs = validate_problem(support, constraints)
+    lam, lz, *_ = _dual(support, [s.function for s in specs], multipliers)
+    return lz + float(lam @ _equality_targets(specs))
 
 
 def dual_gradient(
@@ -245,8 +227,9 @@ def dual_gradient(
     multipliers: Sequence[float] | NDArray[np.float64],
 ) -> NDArray[np.float64]:
     """Gradient of the dual: b - E[h] at the current multipliers."""
-    b = _equality_targets(constraints)
-    return b - _dual(support, [s.function for s in constraints], multipliers)[4]
+    specs = validate_problem(support, constraints)
+    b = _equality_targets(specs)
+    return b - _dual(support, [s.function for s in specs], multipliers)[4]
 
 
 def dual_hessian(
@@ -255,7 +238,7 @@ def dual_hessian(
     multipliers: Sequence[float] | NDArray[np.float64],
 ) -> NDArray[np.float64]:
     """Hessian of the dual: the covariance matrix of the h_j under p."""
-    functions = [s.function for s in constraints]
+    functions = [s.function for s in validate_problem(support, constraints)]
     return _covariance(*_dual(support, functions, multipliers)[2:])
 
 
@@ -374,7 +357,7 @@ def _newton(
     bracket = (lo < hi).tolist()
     any_bracket = any(bracket)
     lows, highs = lo.tolist(), hi.tolist()
-    lz, p = _dual_kernel(H, w, lam)
+    lz, p = _exponential_form(H, w, lam)
     here = lz + float(lam @ np.where(lam > 0.0, hi, lo))
     trace = [here]
     if m == 0:
@@ -416,7 +399,7 @@ def _newton(
             if any_bracket:
                 trial[stops] = 0.0
                 bound = np.where(trial > 0.0, hi, lo)
-            lz, p = _dual_kernel(H, w, trial)
+            lz, p = _exponential_form(H, w, trial)
             value = lz + float(trial @ bound)
             # Written so that a NaN value is rejected too.
             if value <= here + _ARMIJO_SLOPE * float(g @ (trial - lam)) + allowance:
@@ -534,9 +517,7 @@ def _solve(
         Hc, wa, lo - center, hi - center, hc_size, tol, options.max_iter, exact,
     )
 
-    top, shifted = _shifted_exponent(H, lam)
-    lz = float(top + np.log(w @ shifted))
-    density = shifted * math.exp(top - lz)
+    lz, density = _exponential_form(H, w, lam)
     if not (density > 0.0).all():
         raise InfeasibleError(_UNDERFLOW)
     moment = (w * density) @ H.T

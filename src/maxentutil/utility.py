@@ -193,9 +193,12 @@ def curve_to_density(
     """Derivative of a nondecreasing curve, clipped at 0 and renormalized.
 
     Central differences at interior nodes, one-sided at the two end nodes.
+    A :class:`UtilityCurve` must live on ``support`` itself.
     """
     if not support.is_continuous:
         raise ValidationError("utility curves need a continuous support")
+    if isinstance(curve, UtilityCurve) and curve.support != support:
+        raise ValidationError("utility curve lives on a different support")
     U = support._per_node(getattr(curve, "curve", curve))
     if not np.all(np.isfinite(U)):
         raise ValidationError("curve values must be finite")
@@ -308,8 +311,9 @@ def maxent_utility_from_assessments(
     """
     if not support.is_continuous:
         raise ValidationError("utility curves need a continuous support")
-    if len(assessments) == 0:
-        raise ValidationError("at least one assessment is required")
+    if not np.iterable(assessments):
+        raise ValidationError(f"assessments {assessments!r} are not iterable")
+    pairs = []
     for i, item in enumerate(assessments):
         try:
             x, v = item
@@ -318,8 +322,10 @@ def maxent_utility_from_assessments(
         if not (_finite(x) and _finite(v)):
             raise ValidationError(f"assessment {i}: {item!r} is not a pair "
                                   "(point, value) of finite real numbers")
-    xs = np.array([float(x) for x, _ in assessments])
-    vs = np.array([float(v) for _, v in assessments])
+        pairs.append((x, v))
+    if not pairs:
+        raise ValidationError("at least one assessment is required")
+    xs, vs = np.array(pairs, dtype=np.float64).T
     a, b = support.lower, support.upper
     if np.any(xs <= a) or np.any(xs >= b):
         raise ValidationError("assessment points must lie strictly inside the support")
@@ -361,11 +367,15 @@ def classify_family(constraints: Sequence[ConstraintSpec]) -> str:
     plus second moments give the truncated-Gaussian S-shaped family.
     Anything else is reported as general.
     """
+    specs = tuple(constraints)
+    for i, spec in enumerate(specs):
+        if not isinstance(spec, ConstraintSpec):
+            raise ValidationError(f"constraint {i}: not a ConstraintSpec")
     shapes = sorted(
         ("power", spec.function.degree)
         if spec.function.kind == "power"
         else (spec.function.kind, None)
-        for spec in constraints
+        for spec in specs
     )
     if shapes == []:
         return "linear_risk_neutral"

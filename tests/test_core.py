@@ -206,6 +206,74 @@ def test_real_fields_accept_reals_and_reject_everything_else(field, value, is_re
             _REAL_FIELDS[field](value)
 
 
+# The classmethods pass their arguments through to the field checks, so a bad
+# value fails with one message whichever constructor takes it, and a good one
+# is stored as a Python float.
+_CONSTRUCTORS = {
+    "support bound": (
+        lambda v: Support.continuous(v, 2.0, 64),
+        lambda v: Support(kind="continuous", a=v, b=2.0, n=64),
+    ),
+    "support points": (
+        lambda v: Support.discrete((v, 2.0)),
+        lambda v: Support(kind="discrete", points=(v, 2.0), n=2),
+    ),
+    "indicator edge": (
+        lambda v: ConstraintFunction.indicator(v, 2.0),
+        lambda v: ConstraintFunction(kind="indicator", lower=v, upper=2.0),
+    ),
+    "tabulated value": (
+        lambda v: ConstraintFunction.tabulated((v, 1.0)),
+        lambda v: ConstraintFunction(kind="tabulated", values=(v, 1.0)),
+    ),
+    "tabulated slope": (
+        lambda v: ConstraintFunction.tabulated((0.0, 1.0), slope=(v, 1.0)),
+        lambda v: ConstraintFunction(
+            kind="tabulated", values=(0.0, 1.0), slope=(v, 1.0)
+        ),
+    ),
+    "equality target": (
+        lambda v: ConstraintSpec.equality(ConstraintFunction.power(1), v),
+        lambda v: ConstraintSpec(function=ConstraintFunction.power(1), equals=v),
+    ),
+    "interval bound": (
+        lambda v: ConstraintSpec.interval(ConstraintFunction.power(1), v, 2.0),
+        lambda v: ConstraintSpec(function=ConstraintFunction.power(1), bounds=(v, 2.0)),
+    ),
+}
+_BAD_VALUES = {"str": "0", "word": "x", "None": None, "list": [0.1],
+               "int-beyond-float": 10**400, "bool": True}
+
+
+@pytest.mark.parametrize("field,value", [
+    pytest.param(field, value, id=f"{field}-{name}")
+    for field in sorted(_CONSTRUCTORS) for name, value in _BAD_VALUES.items()
+    # A tuple mixing a bool with floats is a float array (see below).
+    if (field, name) != ("support points", "bool")
+])
+def test_classmethods_and_field_constructors_reject_alike(field, value):
+    messages = []
+    for build in _CONSTRUCTORS[field]:
+        with pytest.raises(ValidationError) as err:
+            build(value)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_real_fields_are_stored_as_python_floats():
+    for value in (1, np.int64(1), np.float32(1.0), np.float64(1.0)):
+        s = Support.continuous(value - 1, value + 1, 64)
+        ind = ConstraintFunction.indicator(value - 1, value)
+        tab = ConstraintFunction.tabulated(np.array([value, 2]), slope=[value, 0])
+        eq = ConstraintSpec.equality(ConstraintFunction.power(1), value)
+        bracket = ConstraintSpec.interval(ConstraintFunction.power(1), value, 2)
+        points = Support(kind="discrete", points=(value, 2), n=2).points
+        stored = (s.a, s.b, ind.lower, ind.upper, *tab.values, *tab.slope,
+                  eq.equals, *bracket.bounds, *points)
+        assert {type(x) for x in stored} == {float}
+    assert Support.discrete(iter([0, 1])).points == (0.0, 1.0)
+
+
 # Discrete points follow the real-number rule as an array: it must convert to
 # a flat array of integers or floats, which a tuple mixing bools with floats
 # still does; nested points do not (a 2 x 2 array, or ragged ones that numpy
@@ -481,7 +549,7 @@ def test_solution_accepts_consistent_uniform():
         entropy=np.log(2.0),
         diagnostics=_diag(0),
     )
-    rebuilt = exponential_density(s, (), sol.multipliers, sol.log_partition)
+    rebuilt = exponential_density(s, (), sol.multipliers)
     assert np.array_equal(rebuilt, sol.density)
 
 

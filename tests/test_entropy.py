@@ -208,6 +208,13 @@ def test_entropy_value_base_conversion():
     assert bits.in_base("natural").value == pytest.approx(3.0 * math.log(2.0))
 
 
+@pytest.mark.parametrize("value", ["x", True, None, math.inf, 10**400],
+                         ids=["str", "bool", "None", "inf", "int-beyond-float"])
+def test_entropy_value_takes_finite_real_numbers_only(value):
+    with pytest.raises(ValidationError, match="entropy value must be a finite real"):
+        EntropyValue(value)
+
+
 def test_entropy_value_rejects_unknown_base():
     with pytest.raises(ValidationError):
         EntropyValue(1.0, "base3")

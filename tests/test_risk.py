@@ -184,7 +184,7 @@ def hand_built_solutions(draw):
     return MaxEntSolution(
         support=support,
         constraints=specs,
-        density=exponential_density(support, specs, lam, lz),
+        density=exponential_density(support, specs, lam),
         multipliers=lam,
         log_partition=lz,
         entropy=0.0,

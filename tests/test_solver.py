@@ -39,7 +39,7 @@ from maxentutil.solver import (
     solve_equality,
     solve_interval,
 )
-from maxentutil.utility import maxent_utility_from_assessments
+from maxentutil.utility import classify_family, maxent_utility_from_assessments
 
 # lambda* for the mean-1 exponential family on [0, 5], found by bisection on
 # the quadrature-free moment equation.  Recomputed live in the oracle test.
@@ -143,10 +143,39 @@ def test_solution_dominates_feasible_competitors():
 
 def test_solution_reconstructs_bit_for_bit():
     sol = solve_equality(Support.continuous(0.0, 5.0, 256), [_mean_spec(1.0)])
-    rebuilt = exponential_density(
-        sol.support, sol.constraints, sol.multipliers, sol.log_partition
-    )
+    rebuilt = exponential_density(sol.support, sol.constraints, sol.multipliers)
     assert np.array_equal(rebuilt, sol.density)
+
+
+_SOLVES = {
+    "continuous": lambda: solve_equality(
+        Support.continuous(0.0, 5.0, 256), [_mean_spec(1.2), _power_spec(2, 2.5)]
+    ),
+    "discrete": lambda: solve_equality(
+        Support.discrete(np.linspace(0.0, 3.0, 40) ** 1.5),
+        [_power_spec(1, 1.8), _power_spec(2, 4.5)],
+    ),
+    "assessed": lambda: maxent_utility_from_assessments(
+        Support.continuous(0.0, 1.0, 128), [(0.3, 0.6), (0.7, 0.9)]
+    )[1],
+}
+
+
+@pytest.mark.parametrize("kind", _SOLVES)
+def test_log_z_and_the_density_rebuild_bit_for_bit_from_the_multipliers(kind):
+    sol = _SOLVES[kind]()
+    rebuilt = exponential_density(sol.support, sol.constraints, sol.multipliers)
+    assert rebuilt.tobytes() == sol.density.tobytes()
+    functions = [s.function for s in sol.constraints]
+    assert log_partition(sol.support, functions, sol.multipliers) == sol.log_partition
+
+
+def test_a_log_partition_that_its_multipliers_do_not_give_is_rejected():
+    sol = _SOLVES["continuous"]()
+    with pytest.raises(ValidationError, match="log Z and density do not match"):
+        dataclasses.replace(sol, log_partition=sol.log_partition + 1e-9)
+    with pytest.raises(ValidationError, match="log Z and density do not match"):
+        dataclasses.replace(sol, log_partition=math.nan)
 
 
 def _oracle_solutions():
@@ -482,14 +511,14 @@ def test_inverse_factor_is_the_public_wrappers_bit_for_bit(x):
 
 def test_a_stalled_line_search_names_where_newton_stopped(monkeypatch):
     # A kernel whose log Z is NaN at every trial: no step is ever accepted.
-    kernel, calls = solver._dual_kernel, []
+    kernel, calls = solver._exponential_form, []
 
     def nan_after_the_start(H, w, lam):
         lz, p = kernel(H, w, lam)
         calls.append(lam)
         return (lz if len(calls) == 1 else math.nan), p
 
-    monkeypatch.setattr(solver, "_dual_kernel", nan_after_the_start)
+    monkeypatch.setattr(solver, "_exponential_form", nan_after_the_start)
     with pytest.raises(InfeasibleError) as excinfo:
         solve_equality(Support.continuous(0.0, 1.0, 128), [_mean_spec(0.3)])
     steps, gnorm, lam = _newton_failure(
@@ -781,9 +810,7 @@ DUAL_MAPS = {
     "dual_value": dual_value,
     "dual_gradient": dual_gradient,
     "dual_hessian": dual_hessian,
-    "exponential_density": lambda sup, specs, lam: exponential_density(
-        sup, specs, lam, 0.0
-    ),
+    "exponential_density": exponential_density,
 }
 
 
@@ -795,6 +822,28 @@ def test_dual_maps_reject_a_multiplier_vector_of_the_wrong_shape(name, lam):
     specs = [_mean_spec(0.6), ConstraintSpec.equality(ConstraintFunction.power(2), 0.4)]
     with pytest.raises(ValidationError, match="one multiplier per constraint function"):
         DUAL_MAPS[name](support, specs, np.array(lam))
+
+
+# Members that are not constraints are named, not left to an AttributeError.
+_NOT_A_CONSTRAINT = {
+    "dual_value": lambda s, sol: dual_value(s, [None], [0.0]),
+    "dual_gradient": lambda s, sol: dual_gradient(s, [None], [0.0]),
+    "dual_hessian": lambda s, sol: dual_hessian(s, [None], [0.0]),
+    "exponential_density": lambda s, sol: exponential_density(s, [None], [0.0]),
+    "log_partition": lambda s, sol: log_partition(s, [None], [0.0]),
+    "moments": lambda s, sol: moments(sol, [None]),
+    "classify_family": lambda s, sol: classify_family([None]),
+}
+
+
+@pytest.mark.parametrize("name", _NOT_A_CONSTRAINT)
+def test_a_member_that_is_not_a_constraint_is_named(name):
+    support = Support.discrete([0.0, 0.5, 1.0])
+    sol = solve_equality(support, [_mean_spec(0.6)])
+    with pytest.raises(ValidationError) as err:
+        _NOT_A_CONSTRAINT[name](support, sol)
+    assert str(err.value) in ("constraint 0: not a ConstraintSpec",
+                              "constraint function 0: not a ConstraintFunction")
 
 
 # -------------------------------------------------------------- infeasible

@@ -130,6 +130,17 @@ def test_density_curve_roundtrip():
     assert np.max(np.abs(back - sol.density)) < 1e-4
 
 
+def test_curve_to_density_differentiates_a_curve_on_its_own_support_only():
+    flat = UtilityCurve(Support.continuous(0.0, 1.0, 128), np.ones(128))
+    wide = Support.continuous(0.0, 5.0, 128)
+    # The same nodes spread over [0, 5] would give 0.2 at every node.
+    with pytest.raises(ValidationError, match="curve lives on a different support"):
+        curve_to_density(flat, wide)
+    assert np.allclose(curve_to_density(flat, flat.support), 1.0, rtol=1e-12)
+    # Plain curve values carry no support and are taken on the one given.
+    assert np.allclose(curve_to_density(flat.curve, wide), 0.2)
+
+
 def test_curve_to_density_rejects_flat_and_decreasing():
     s = Support.continuous(0.0, 1.0, 64)
     with pytest.raises(ValidationError, match="no increase"):
@@ -492,6 +503,28 @@ def test_each_assessment_is_a_pair_of_finite_numbers(item):
     )
 
 
+def test_assessments_may_be_any_iterable_of_pairs():
+    s, pairs = Support.continuous(0.0, 1.0, 128), [(0.25, 0.4), (0.6, 0.8)]
+    curve, sol = maxent_utility_from_assessments(s, (pair for pair in pairs))
+    want_curve, want = maxent_utility_from_assessments(s, pairs)
+    assert sol.density.tobytes() == want.density.tobytes()
+    assert curve.curve.tobytes() == want_curve.curve.tobytes()
+
+
+@pytest.mark.parametrize("assessments", [5, None, 0.5])
+def test_assessments_that_cannot_be_iterated_are_named(assessments):
+    s = Support.continuous(0.0, 1.0, 128)
+    with pytest.raises(ValidationError) as err:
+        maxent_utility_from_assessments(s, assessments)
+    assert str(err.value) == f"assessments {assessments!r} are not iterable"
+
+
+def test_no_assessments_is_an_input_error():
+    for empty in ([], iter(())):
+        with pytest.raises(ValidationError, match="at least one assessment"):
+            maxent_utility_from_assessments(Support.continuous(0.0, 1.0, 128), empty)
+
+
 # ------------------------------------------------------------------ volumes
 
 def test_utility_volume_closed_form():
@@ -525,6 +558,16 @@ def test_classify_family_routes():
     assert classify_family([var, mean]) == "gaussian_s_shaped"
     assert classify_family([mean, ind]) == "general"
     assert classify_family([var]) == "general"
+
+
+def test_classify_family_names_a_member_that_is_not_a_constraint_spec():
+    mean = ConstraintSpec.equality(ConstraintFunction.power(1), 0.5)
+    for specs in ([None], [mean, ConstraintFunction.power(2)]):
+        with pytest.raises(ValidationError) as err:
+            classify_family(specs)
+        assert str(err.value) == f"constraint {len(specs) - 1}: not a ConstraintSpec"
+    # The check reads an iterator once, as the classification does.
+    assert classify_family(iter([mean])) == "cara"
 
 
 # -------------------------------------------------------------- spread laws

@@ -109,10 +109,32 @@ def _reals(values, message: str) -> tuple[float, ...]:
     return tuple(map(float, items))
 
 
+def _real_array(values: ArrayLike, message: str) -> NDArray[np.float64]:
+    """``values`` as a float64 array, converted from integers and floats
+    only, and without a copy when it already is one; ValidationError(message)
+    for any other dtype (strings, bools, objects) and for ragged nesting."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged, such as ([0.5], 2.0)
+        raise ValidationError(message) from None
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(message)
+    return arr.astype(np.float64, copy=False)
+
+
+def _items(values, noun: str) -> tuple:
+    """``values`` read once, as a tuple; ValidationError naming them when
+    they cannot be iterated."""
+    if not np.iterable(values):
+        raise ValidationError(f"{noun} {values!r} are not iterable")
+    return tuple(values)
+
+
 def _masses(values: ArrayLike, noun: str, tol: float) -> NDArray[np.float64]:
-    """``values`` as a probability mass vector, non-empty, finite and
-    non-negative, of sum 1 within ``tol``; ``noun`` names it in errors."""
-    p = np.asarray(values, dtype=np.float64)
+    """``values`` as a probability mass vector of real numbers, non-empty,
+    finite and non-negative, of sum 1 within ``tol``; ``noun`` names it in
+    errors."""
+    p = _real_array(values, f"{noun} must be real numbers")
     if p.ndim != 1 or len(p) == 0:
         raise ValidationError(f"{noun} must be a non-empty vector")
     if not np.isfinite(p).all():
@@ -203,17 +225,14 @@ class Support:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _integer(self.n, "node count must be an integer"))
         if self.kind == "discrete":
-            try:
-                arr = np.asarray(() if self.points is None else self.points)
-            except ValueError:  # ragged, such as ([0.5], 2.0)
-                arr = None
-            if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
-                raise ValidationError("support points must be real numbers")
-            if len(arr) < 2:
+            message = "support points must be real numbers"
+            pts = _real_array(() if self.points is None else self.points, message)
+            if pts.ndim != 1:
+                raise ValidationError(message)
+            if len(pts) < 2:
                 raise ValidationError("discrete support needs at least 2 points")
-            if not np.isfinite(arr).all():
+            if not np.isfinite(pts).all():
                 raise ValidationError("support points must be finite")
-            pts = arr.astype(np.float64)
             if not (np.diff(pts) > 0).all():
                 raise ValidationError("support points must be strictly increasing")
             if self.n != len(pts):
@@ -266,16 +285,28 @@ class Support:
     def panel_edges(self) -> NDArray[np.float64]:
         return _readonly(np.linspace(self.a, self.b, len(self.panel_sizes) + 1))
 
-    def _panel_groups(self):
-        """Yield ``(q, panels, nodes)`` per run of q-node panels: slices of
-        the panel and node axes, so grid-wide work is one broadcast per
-        panel size (there are at most two) rather than a loop over panels."""
-        panel = node = 0
+    @cached_property
+    def _panel_groups(self) -> tuple[tuple[int, slice, slice], ...]:
+        """``(q, panels, nodes)`` per run of q-node panels: slices of the
+        panel and node axes, so grid-wide work is one broadcast per panel
+        size (there are at most two) rather than a loop over panels."""
+        groups, panel, node = [], 0, 0
         for q, group in itertools.groupby(self.panel_sizes):
             count = len(list(group))
-            yield q, slice(panel, panel + count), slice(node, node + q * count)
+            groups.append((q, slice(panel, panel + count), slice(node, node + q * count)))
             panel += count
             node += q * count
+        return tuple(groups)
+
+    @cached_property
+    def _half_widths(self) -> NDArray[np.float64]:
+        return _readonly(0.5 * np.diff(self.panel_edges))
+
+    @cached_property
+    def _panel_repeats(self) -> NDArray[np.intp]:
+        """Nodes per panel, as the repeat counts that spread a per-panel
+        value over the panel's nodes."""
+        return _readonly(self.panel_sizes, dtype=np.intp)
 
     @cached_property
     def nodes(self) -> NDArray[np.float64]:
@@ -283,11 +314,11 @@ class Support:
         maps the reference nodes xi as ``mid + hw * xi`` (midpoint, half-width)."""
         if not self.is_continuous:
             return _readonly(np.asarray(self.points, dtype=np.float64))
-        edges = self.panel_edges
-        mid, hw = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+        edges, hw = self.panel_edges, self._half_widths
+        mid = 0.5 * (edges[:-1] + edges[1:])
         return _readonly(np.concatenate([
             (mid[p, None] + hw[p, None] * _reference_rule(q)[0]).ravel()
-            for q, p, _ in self._panel_groups()
+            for q, p, _ in self._panel_groups
         ]))
 
     @cached_property
@@ -295,15 +326,17 @@ class Support:
         """Quadrature weights ``hw * w`` per panel; all ones when discrete."""
         if not self.is_continuous:
             return _readonly(np.ones(self.n))
-        hw = 0.5 * np.diff(self.panel_edges)
+        hw = self._half_widths
         return _readonly(np.concatenate([
             (hw[p, None] * _reference_rule(q)[1]).ravel()
-            for q, p, _ in self._panel_groups()
+            for q, p, _ in self._panel_groups
         ]))
 
-    def _per_node(self, values: ArrayLike) -> NDArray[np.float64]:
-        """``values`` as a float array, checked to hold one value per node."""
-        values = np.asarray(values, dtype=np.float64)
+    def _per_node(self, values: ArrayLike, noun: str = "values") -> NDArray[np.float64]:
+        """``values`` as a float array of real numbers (see
+        :func:`_real_array`), checked to hold one value per node; ``noun``
+        names them in the dtype error."""
+        values = _real_array(values, f"{noun} must be real numbers")
         if values.shape != (self.n,):
             raise ValidationError("support mismatch: expected one value per node")
         return values
@@ -323,27 +356,30 @@ class Support:
         if not self.is_continuous:
             raise ValidationError("cumulative integrals need a continuous support")
         values = self._per_node(values)
-        sizes = self.panel_sizes
-        half_widths = 0.5 * np.diff(self.panel_edges)
-        within = np.empty(self.n)
-        masses = np.empty(len(sizes))
-        for q, panels, nodes in self._panel_groups():
+        hw = self._half_widths
+        at_nodes = np.empty(self.n)
+        at_edges = np.empty(len(hw) + 1)
+        at_edges[0] = 0.0
+        masses = at_edges[1:]  # each panel's mass, then their running sum
+        for q, panels, nodes in self._panel_groups:
             block = values[nodes].reshape(-1, q)
-            hw = half_widths[panels, None]
-            within[nodes] = (hw * (block @ _partial_integration_matrix(q).T)).ravel()
-            masses[panels] = hw[:, 0] * (block @ _reference_rule(q)[1])
-        at_edges = np.concatenate(([0.0], np.cumsum(masses)))
-        at_nodes = within + np.repeat(at_edges[:-1], sizes)
+            within = at_nodes[nodes].reshape(-1, q)  # a view: written in place
+            np.matmul(block, _partial_integration_matrix(q).T, out=within)
+            within *= hw[panels, None]
+            np.multiply(hw[panels], block @ _reference_rule(q)[1], out=masses[panels])
+        np.cumsum(masses, out=masses)
+        at_nodes += np.repeat(at_edges[:-1], self._panel_repeats)
         return at_nodes, at_edges
 
 
 def _density_on(support: Support, values: ArrayLike) -> NDArray[np.float64]:
     """``values`` as a density on the support's grid: one finite,
     non-negative value per node, of mass 1 within 1e-8."""
-    p = support._per_node(values)
-    if not np.isfinite(p).all():
+    p = support._per_node(values, "density values")
+    low, high = p.min(), p.max()  # a NaN anywhere makes both NaN
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise ValidationError("density must be finite")
-    if (p < 0.0).any():
+    if low < 0.0:
         raise ValidationError("density must be non-negative")
     mass = support.integrate(p)
     if abs(mass - 1.0) > 1e-8:
@@ -536,7 +572,9 @@ class ConstraintSpec:
 def _feature_matrix(
     support: Support, functions: Sequence[ConstraintFunction]
 ) -> NDArray[np.float64]:
-    """Row j holds functions[j] tabulated at every support node."""
+    """Row j holds functions[j] tabulated at every support node; the
+    functions are read once, so any iterable of them will do."""
+    functions = _items(functions, "constraint functions")
     H = np.empty((len(functions), support.n))
     for j, f in enumerate(functions):
         if not isinstance(f, ConstraintFunction):
@@ -560,13 +598,15 @@ def _features_and_multipliers(
 def validate_problem(
     support: Support, constraints: Sequence[ConstraintSpec]
 ) -> tuple[ConstraintSpec, ...]:
-    """The constraints as a tuple, each checked against the support.
+    """The constraints, read once from any iterable, as a tuple, each checked
+    against the support.
 
     Validation is idempotent: re-validating the returned tuple returns an
     equal tuple.  The first violated rule raises ValidationError with the
-    offending constraint's position.
+    offending constraint's position; constraints that cannot be iterated
+    are named.
     """
-    specs = tuple(constraints)
+    specs = _items(constraints, "constraints")
     for i, spec in enumerate(specs):
         if not isinstance(spec, ConstraintSpec):
             raise ValidationError(f"constraint {i}: not a ConstraintSpec")

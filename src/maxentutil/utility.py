@@ -15,6 +15,7 @@ piecewise constant between assessed points.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Sequence
@@ -29,8 +30,10 @@ from .core import (
     _density_on,
     _finite,
     _integer,
+    _items,
     _masses,
     _readonly,
+    _real_array,
 )
 from .solver import MaxEntSolution, SolveOptions, solve_equality, solve_interval
 
@@ -70,7 +73,7 @@ class UtilityVector:
     values: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
+        v = _real_array(self.values, "utilities must be real numbers")
         object.__setattr__(self, "values", _readonly(v))
         if v.ndim != 1 or len(v) < 2:
             raise ValidationError("utility vector needs at least 2 outcomes")
@@ -143,15 +146,15 @@ class UtilityCurve:
         if not support.is_continuous:
             raise ValidationError("utility curves need a continuous support")
         u = _density_on(support, self.density)
-        at_nodes, at_edges = support.cumulative(u)
-        total = at_edges[-1]
-        curve = at_nodes / total
-        edge_curve = at_edges / total
+        curve, edge_curve = support.cumulative(u)  # fresh arrays: divided in place
+        total = edge_curve[-1]
+        curve /= total
+        edge_curve /= total
         edge_curve[0] = 0.0
         edge_curve[-1] = 1.0
-        if np.any(np.diff(curve) < -1e-12):
+        if np.diff(curve).min() < -1e-12:
             raise ValidationError("utility curve must be nondecreasing")
-        if np.any(curve < -1e-10) or np.any(curve > 1.0 + 1e-10):
+        if curve.min() < -1e-10 or curve.max() > 1.0 + 1e-10:
             raise ValidationError("curve values must lie in [0, 1]")
         object.__setattr__(self, "density", _readonly(u / total))
         object.__setattr__(self, "curve", _readonly(curve))
@@ -199,7 +202,7 @@ def curve_to_density(
         raise ValidationError("utility curves need a continuous support")
     if isinstance(curve, UtilityCurve) and curve.support != support:
         raise ValidationError("utility curve lives on a different support")
-    U = support._per_node(getattr(curve, "curve", curve))
+    U = support._per_node(getattr(curve, "curve", curve), "curve values")
     if not np.all(np.isfinite(U)):
         raise ValidationError("curve values must be finite")
     if np.any(np.diff(U) < -1e-12):
@@ -246,8 +249,8 @@ def _refined_grid(a: float, b: float, n: int) -> Support:
 
 
 def _refined_support(
-    support: Support, xs: NDArray[np.float64]
-) -> tuple[Support, NDArray[np.float64]]:
+    support: Support, xs: Sequence[float]
+) -> tuple[Support, list[float]]:
     """Grow the grid until every assessment point sits on a panel edge.
 
     Points are snapped to the nearest panel edge; the grid doubles until the
@@ -256,17 +259,28 @@ def _refined_support(
     solved density, the curve, and the assessed values to agree to 1e-6.
     The first level is ``support`` itself; the doubled ones come from
     :func:`_refined_grid`.
+
+    "Nearest" is the smallest |edge - x| as rounded in floating point, and a
+    point halfway between two edges goes to the lower edge: the argmin over
+    all edges, first index on a tie.  Rounded distances shrink towards x
+    from either side, so only the two edges around x, found by bisection,
+    are compared.
     """
     a, b = support.lower, support.upper
     limit = (b - a) * SNAP_FRACTION
     trial = support
     while True:
-        edges = trial.panel_edges
-        idx = np.argmin(np.abs(edges[None, :] - xs[:, None]), axis=1)
-        snapped = edges[idx]
-        err = float(np.max(np.abs(snapped - xs)))
-        interior = np.all(idx > 0) and np.all(idx < len(edges) - 1)
-        distinct = len(set(idx.tolist())) == len(idx)
+        edges = trial.panel_edges.tolist()
+        idx = []
+        for x in xs:
+            i = bisect_left(edges, x)  # the first edge >= x
+            if i == len(edges) or (i > 0 and x - edges[i - 1] <= edges[i] - x):
+                i -= 1  # the lower edge is as near or nearer
+            idx.append(i)
+        snapped = [edges[i] for i in idx]
+        err = max(abs(s - x) for s, x in zip(snapped, xs))
+        interior = 0 < min(idx) and max(idx) < len(edges) - 1
+        distinct = len(set(idx)) == len(idx)
         if (err <= limit and interior and distinct) or trial.n >= MAX_ASSESSMENT_NODES:
             if not interior:
                 raise ValidationError(
@@ -299,8 +313,9 @@ def maxent_utility_from_assessments(
     Newton step (``iterations == 1``), and the density and the curve match
     their closed form to rounding at the snapped points.
 
-    Each point moves to the nearest panel edge of that grid, by at most half
-    a panel: (b - a)/512 at the 8192-node ceiling, where refinement stops.
+    Each point moves to the nearest panel edge of that grid, the lower one
+    when it lies halfway, by at most half a panel: (b - a)/512 at the
+    8192-node ceiling, where refinement stops.
     Nothing reports the move.  So a 128-node support may come back with
     8192 nodes, and the CLI then prints 8192 table rows.
 
@@ -311,10 +326,8 @@ def maxent_utility_from_assessments(
     """
     if not support.is_continuous:
         raise ValidationError("utility curves need a continuous support")
-    if not np.iterable(assessments):
-        raise ValidationError(f"assessments {assessments!r} are not iterable")
     pairs = []
-    for i, item in enumerate(assessments):
+    for i, item in enumerate(_items(assessments, "assessments")):
         try:
             x, v = item
         except (TypeError, ValueError):  # not a pair
@@ -336,7 +349,7 @@ def maxent_utility_from_assessments(
     if np.any(np.diff(vs) <= 0.0):
         raise ValidationError("assessed values must be strictly increasing")
 
-    refined, snapped = _refined_support(support, xs)
+    refined, snapped = _refined_support(support, xs.tolist())
     specs = [
         ConstraintSpec.equality(ConstraintFunction.indicator(a, edge), value)
         for edge, value in zip(snapped, vs)
@@ -367,7 +380,7 @@ def classify_family(constraints: Sequence[ConstraintSpec]) -> str:
     plus second moments give the truncated-Gaussian S-shaped family.
     Anything else is reported as general.
     """
-    specs = tuple(constraints)
+    specs = _items(constraints, "constraints")
     for i, spec in enumerate(specs):
         if not isinstance(spec, ConstraintSpec):
             raise ValidationError(f"constraint {i}: not a ConstraintSpec")

@@ -15,9 +15,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from maxentutil.cli import main
-from maxentutil.core import Support
+from maxentutil.core import Support, ValidationError
 from maxentutil.risk import risk_aversion_analytic, risk_aversion_numeric
-from maxentutil.utility import maxent_utility_from_assessments
+from maxentutil.utility import _refined_support, maxent_utility_from_assessments
 
 DOMAINS = [(0.0, 1.0), (-1.0, 2.0), (0.0, 5.0)]
 NODES = [128, 1024]
@@ -108,3 +108,69 @@ def test_cli_round_trip_reproduces_the_in_process_table(problem):
     )
     expected = np.column_stack((sol.support.nodes, sol.density, curve.curve, gamma))
     np.testing.assert_array_equal(table, expected)
+
+
+# -------------------------------------------------------------- refinement
+
+#: Domains for the refinement rule: ordinary ones, one from -0.0, a wide one,
+#: a narrow one, and one two ulps wide, whose doubled grids repeat edges.
+REFINE_DOMAINS = [(0.0, 1.0), (-1.0, 2.0), (-0.0, 5.0), (-1e6, 3.0),
+                  (1e-3, 1e-3 + 1e-9), (1.0, 1.0000000000000004)]
+REFINE_NODES = [16, 100, 128, 1000, 1024, 5000, 8192]
+
+
+def _refined_by_definition(support, xs):
+    """The refinement by its definition: on each doubling level, each point
+    goes to the argmin of |edge - x| over all edges, first index on a tie;
+    the levels stop when every snap is within (b - a)/4096 at distinct
+    interior edges, or at 8192 nodes.  Returns the error message instead
+    when the last level fails."""
+    a, b = support.lower, support.upper
+    trial, xs = support, np.array(xs, dtype=np.float64)
+    while True:
+        edges = trial.panel_edges
+        idx = np.argmin(np.abs(edges[None, :] - xs[:, None]), axis=1)
+        err = np.max(np.abs(edges[idx] - xs))
+        interior = 0 < idx.min() and idx.max() < len(edges) - 1
+        distinct = len(set(idx.tolist())) == len(idx)
+        if (err <= (b - a) / 4096 and interior and distinct) or trial.n >= 8192:
+            if not interior:
+                return "assessment point collapses onto a support endpoint"
+            if not distinct:
+                return "assessment points collapse onto the same grid cell"
+            return trial, edges[idx]
+        trial = Support.continuous(a, b, 2 * trial.n)
+
+
+@st.composite
+def refinement_problems(draw):
+    """A support and 1-6 points of it, in any order: random points, edges of
+    a grid the support refines through, and midpoints between such edges."""
+    a, b = draw(st.sampled_from(REFINE_DOMAINS))
+    n = draw(st.sampled_from(REFINE_NODES))
+    levels = [n * 2**j for j in range(11) if n * 2**j < 2 * 8192]
+    xs = []
+    for kind in draw(st.lists(st.sampled_from(["random", "edge", "midpoint"]),
+                              min_size=1, max_size=6)):
+        if kind == "random":
+            xs.append(draw(st.floats(a, b)))
+            continue
+        edges = Support.continuous(a, b, draw(st.sampled_from(levels))).panel_edges
+        i = draw(st.integers(0, len(edges) - 2))
+        xs.append(float(edges[i] if kind == "edge" else (edges[i] + edges[i + 1]) / 2))
+    return Support.continuous(a, b, n), xs
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(refinement_problems())
+def test_refinement_snaps_to_the_nearest_edge_by_definition(problem):
+    support, xs = problem
+    want = _refined_by_definition(support, xs)
+    try:
+        got = _refined_support(support, xs)
+    except ValidationError as exc:
+        assert str(exc) == want
+        return
+    assert not isinstance(want, str)
+    assert got[0] == want[0]
+    assert np.array(got[1], dtype=np.float64).tobytes() == want[1].tobytes()

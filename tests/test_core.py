@@ -124,6 +124,68 @@ def test_cumulative_exact_for_panel_aligned_step():
     assert np.max(np.abs(at_nodes - true)) < 1e-13
 
 
+@pytest.mark.parametrize("n", [16, 100, 1000, 8192])
+def test_cumulative_writes_the_bits_of_the_broadcast_formula(n):
+    # Reference: the same products formed in fresh arrays, one broadcast per
+    # panel size; writing them into the outputs in place changes no bit.
+    s = Support.continuous(-1.0, 2.0, n)
+    values = np.random.default_rng(n).random(n)
+    sizes = np.array(s.panel_sizes)
+    half_widths = 0.5 * np.diff(s.panel_edges)
+    within, masses = np.empty(n), np.empty(len(sizes))
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    for q in sorted(set(s.panel_sizes)):
+        panels = np.flatnonzero(sizes == q)
+        nodes = slice(starts[panels[0]], starts[panels[-1] + 1])
+        block = values[nodes].reshape(-1, q)
+        hw = half_widths[panels, None]
+        within[nodes] = (hw * (block @ _partial_integration_matrix(q).T)).ravel()
+        masses[panels] = hw[:, 0] * (block @ _reference_rule(q)[1])
+    ref_edges = np.concatenate(([0.0], np.cumsum(masses)))
+    ref_nodes = within + np.repeat(ref_edges[:-1], sizes)
+    at_nodes, at_edges = s.cumulative(values)
+    assert at_nodes.tobytes() == ref_nodes.tobytes()
+    assert at_edges.tobytes() == ref_edges.tobytes()
+    assert at_nodes.flags.writeable and at_edges.flags.writeable
+
+
+def test_a_support_computes_its_per_grid_constants_once_and_read_only():
+    s = Support.continuous(0.0, 1.0, 1000)  # panels of 32 and of 31 nodes
+    s.cumulative(np.ones(s.n))
+    names = ("_panel_groups", "_half_widths", "_panel_repeats")
+    first = {name: getattr(s, name) for name in names}
+    assert set(names) <= set(vars(s))  # stored on the support by the first use
+    s.cumulative(np.ones(s.n))
+    s.nodes, s.weights
+    assert all(getattr(s, name) is value for name, value in first.items())
+    assert [q for q, _, _ in first["_panel_groups"]] == [32, 31]
+    assert first["_panel_repeats"].tolist() == list(s.panel_sizes)
+    assert first["_half_widths"].tobytes() == (0.5 * np.diff(s.panel_edges)).tobytes()
+    for name in ("_half_widths", "_panel_repeats"):
+        with pytest.raises(ValueError, match="read-only"):
+            first[name][0] = 0
+
+
+@pytest.mark.parametrize(
+    "values",
+    [["1"] * 16, np.ones(16, dtype=bool), [True] * 16, [None] * 16,
+     np.ones(16, dtype=complex), [[1.0]] * 15 + [[1.0, 2.0]]],
+)
+def test_per_node_values_must_be_integers_or_floats(values):
+    s = Support.continuous(0.0, 1.0, 16)
+    for call in (s.integrate, s.cumulative):
+        with pytest.raises(ValidationError, match="^values must be real numbers$"):
+            call(values)
+
+
+def test_per_node_values_take_integers_and_floats_and_keep_float64_uncopied():
+    s = Support.continuous(0.0, 1.0, 16)
+    x = np.linspace(0.0, 1.0, 16)
+    assert s._per_node(x) is x
+    for values in (np.arange(16), np.arange(16).tolist(), x.astype(np.float32)):
+        assert s.integrate(values) == s.integrate(np.asarray(values, dtype=np.float64))
+
+
 def test_discrete_support_basics():
     s = Support.discrete([0.0, 1.0, 2.5])
     assert s.n == 3
@@ -524,6 +586,20 @@ def test_validate_problem_is_idempotent():
     once = validate_problem(support, specs)
     twice = validate_problem(support, once)
     assert once == twice
+
+
+@pytest.mark.parametrize("constraints", [None, 5, 0.5])
+def test_validate_problem_names_constraints_that_cannot_be_iterated(constraints):
+    with pytest.raises(
+        ValidationError, match=rf"^constraints {constraints!r} are not iterable$"
+    ):
+        validate_problem(Support.discrete([0.0, 1.0]), constraints)
+
+
+def test_validate_problem_reads_any_iterable_once():
+    specs = [ConstraintSpec.equality(ConstraintFunction.power(1), 0.75)]
+    support = Support.discrete([0.0, 1.0])
+    assert validate_problem(support, iter(specs)) == tuple(specs)
 
 
 # ---------------------------------------------------------------- solutions

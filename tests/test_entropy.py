@@ -88,6 +88,22 @@ def test_discrete_entropy_rejects_bad_masses(masses):
         _h(masses)
 
 
+# Masses are integers or floats: strings and bools are not converted.
+@pytest.mark.parametrize(
+    "masses",
+    [["0.5", "0.5"], [True, False], np.array([True, False]), [None, 1.0],
+     [0.5 + 0j, 0.5], [[0.5], [0.25, 0.25]]],
+)
+def test_discrete_entropy_takes_integers_and_floats_only(masses):
+    with pytest.raises(ValidationError, match="^masses must be real numbers$"):
+        _h(masses)
+
+
+def test_discrete_entropy_takes_integer_masses():
+    assert _h([0, 1]) == 0.0
+    assert _h(np.array([1], dtype=np.uint8)) == 0.0
+
+
 def test_discrete_entropy_does_not_renormalize():
     # Off by more than the 1e-9 mass gate: reject, never silently rescale.
     with pytest.raises(ValidationError, match="sum"):
@@ -135,6 +151,15 @@ def test_differential_entropy_requires_unit_mass():
     s = Support.continuous(0.0, 1.0, 64)
     with pytest.raises(ValidationError, match="integrates"):
         _hd(np.full(s.n, 1.01), s)
+
+
+@pytest.mark.parametrize(
+    "density", [np.ones(128, dtype=bool), ["1"] * 128, [None] * 128]
+)
+def test_differential_entropy_takes_integers_and_floats_only(density):
+    s = Support.continuous(0.0, 1.0, 128)
+    with pytest.raises(ValidationError, match="^density values must be real numbers$"):
+        differential_entropy(density, s)
 
 
 def test_differential_entropy_rejects_discrete_support():

@@ -846,6 +846,40 @@ def test_a_member_that_is_not_a_constraint_is_named(name):
                               "constraint function 0: not a ConstraintFunction")
 
 
+# A constraint list that cannot be iterated is an input error that names it.
+_NOT_ITERABLE = {
+    "solve_equality": lambda s, sol: solve_equality(s, 5),
+    "solve_interval": lambda s, sol: solve_interval(s, None),
+    "dual_value": lambda s, sol: dual_value(s, None, [0.0]),
+    "exponential_density": lambda s, sol: exponential_density(s, 5, [0.0]),
+    "log_partition": lambda s, sol: log_partition(s, None, [0.0]),
+    "moments": lambda s, sol: moments(sol, None),
+    "classify_family": lambda s, sol: classify_family(5),
+}
+
+
+@pytest.mark.parametrize("name", _NOT_ITERABLE)
+def test_a_constraint_list_that_cannot_be_iterated_is_named(name):
+    support = Support.discrete([0.0, 0.5, 1.0])
+    sol = solve_equality(support, [_mean_spec(0.6)])
+    with pytest.raises(ValidationError) as err:
+        _NOT_ITERABLE[name](support, sol)
+    assert str(err.value) in ("constraints 5 are not iterable",
+                              "constraints None are not iterable",
+                              "constraint functions None are not iterable")
+
+
+def test_constraint_functions_may_be_any_iterable():
+    support = Support.continuous(0.0, 1.0, 64)
+    sol = solve_equality(support, [_mean_spec(0.4)])
+    functions = [ConstraintFunction.power(1), ConstraintFunction.power(2)]
+    assert moments(sol, iter(functions)).tobytes() == moments(sol, functions).tobytes()
+    lam = [0.5, -0.25]
+    assert log_partition(support, iter(functions), lam) == log_partition(
+        support, functions, lam
+    )
+
+
 # -------------------------------------------------------------- infeasible
 
 @pytest.mark.parametrize("target", [-0.5, 0.0, 1.0, 2.0])

@@ -45,6 +45,28 @@ def test_utility_vector_invariants():
         UtilityVector(np.array([0.0]))
 
 
+# Utilities, increments and masses are integers or floats: strings and
+# bools are not converted.
+@pytest.mark.parametrize(
+    "build,values,message",
+    [
+        (UtilityVector, ["0", "1"], "utilities must be real numbers"),
+        (UtilityVector, [False, True], "utilities must be real numbers"),
+        (UtilityVector, [0.0, None, 1.0], "utilities must be real numbers"),
+        (UtilityIncrementVector, ["0.5", "0.5"], "increments must be real numbers"),
+        (UtilityIncrementVector, np.array([True]), "increments must be real numbers"),
+    ],
+)
+def test_utility_vectors_take_integers_and_floats_only(build, values, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build(values)
+
+
+def test_utility_vectors_take_integers():
+    assert UtilityVector([0, 1]).values.tolist() == [0.0, 1.0]
+    assert UtilityIncrementVector([1]).increments.tolist() == [1.0]
+
+
 def test_increments_of_simple_vector():
     u = UtilityVector(np.array([0.0, 0.25, 0.75, 1.0]))
     d = increments(u)
@@ -173,15 +195,25 @@ def _ones_with(index, value):
         (_ones_with(5, math.nan), "density must be finite"),
         (_ones_with(5, -1.0), "density must be non-negative"),
         (np.full(_GRID.n, 1.01), "density integrates to "),
+        (_ones_with(5, math.inf), "density must be finite"),
+        (_ones_with(5, -math.inf), "density must be finite"),
+        # "finite" is checked first, on either side of the negative value.
+        (_ones_with([3, 7], [-1.0, math.nan]), "density must be finite"),
+        (_ones_with([3, 7], [math.nan, -1.0]), "density must be finite"),
+        (np.full(_GRID.n, 1.01),
+         f"density integrates to {_GRID.integrate(np.full(_GRID.n, 1.01))!r}, not 1"),
+        (np.ones(_GRID.n, dtype=bool), "density values must be real numbers"),
+        (["1"] * _GRID.n, "density values must be real numbers"),
     ],
 )
 def test_a_curve_and_differential_entropy_share_the_density_rule(density, message):
     raised = []
-    for build in (UtilityCurve, lambda s, p: differential_entropy(p, s)):
+    for build in (UtilityCurve, lambda s, p: density_to_curve(p, s),
+                  lambda s, p: differential_entropy(p, s)):
         with pytest.raises(ValidationError) as err:
             build(_GRID, density)
         raised.append(str(err.value))
-    assert raised[0] == raised[1]
+    assert raised[0] == raised[1] == raised[2]
     assert raised[0].startswith(message)
 
 

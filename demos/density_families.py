@@ -24,7 +24,7 @@ def describe(title, sol):
     for j, (m, spec) in enumerate(zip(sol.multipliers, sol.constraints)):
         print(
             f"  multiplier[{j}]  {m:+.6f}   "
-            f"(target {spec.equals:g}, residual {sol.diagnostics.residuals[j]:+.1e})"
+            f"(target {spec.equals:g}, residual {sol.residuals[j]:+.1e})"
         )
 
 

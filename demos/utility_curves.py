@@ -54,7 +54,7 @@ def main():
     curve, sol = maxent_utility(support, band)
     show_curve("E[x] in [0.30, 0.45]: lower bound inactive, upper active",
                curve, sol.constraints)
-    print(f"  active bounds: {sol.diagnostics.active_bounds}")
+    print(f"  active bounds: {sol.active_bounds}")
 
 
 if __name__ == "__main__":

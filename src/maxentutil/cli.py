@@ -230,20 +230,17 @@ class ResultBundle:
 
     def summary_text(self) -> str:
         s = self.solution
-        d = s.diagnostics
         lines = [
             "status = converged",
             f"family = {self.family}",
             f"support = {s.support.kind}",
             f"nodes = {s.support.n}",
-            f"iterations = {d.iterations}",
+            f"iterations = {s.diagnostics.iterations}",
             f"log_partition = {_fmt(s.log_partition)}",
             f"entropy = {_fmt(EntropyValue(s.entropy).in_base(self.base).value)}",
             f"entropy_base = {self.base}",
         ]
-        for j, (m, r, a) in enumerate(
-            zip(s.multipliers, d.residuals, d.active_bounds)
-        ):
+        for j, (m, r, a) in enumerate(zip(s.multipliers, s.residuals, s.active_bounds)):
             lines.append(f"multiplier[{j}] = {_fmt(m)}")
             lines.append(f"residual[{j}] = {_fmt(r)}")
             lines.append(f"active[{j}] = {a}")
@@ -301,10 +298,8 @@ def _solve_density(spec: SpecFile) -> tuple[MaxEntSolution, UtilityCurve | None]
 def _solve_spec(spec: SpecFile) -> ResultBundle:
     solution, curve = _solve_density(spec)
     # A bracket that ends slack leaves the density as if it were absent.
-    active = solution.diagnostics.active_bounds
-    family = classify_family(
-        [c for c, a in zip(solution.constraints, active) if a != "slack"]
-    )
+    pinned = zip(solution.constraints, solution.active_bounds)
+    family = classify_family([c for c, a in pinned if a != "slack"])
     profile = None
     if solution.support.is_continuous:
         if curve is None:

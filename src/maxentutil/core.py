@@ -2,9 +2,10 @@
 
 A problem is a support (discrete points or a continuous interval carrying a
 fixed quadrature grid) together with constraint functions and their moment
-targets.  A solved problem is a :class:`MaxEntSolution`: a strictly positive
-density of exponential form, the Lagrange multipliers that generate it, and
-solver diagnostics.
+targets.  A solved problem is a :class:`MaxEntSolution`: the Lagrange
+multipliers and solver diagnostics, from which it derives its strictly
+positive density of exponential form, log Z, residuals, bracket labels and
+entropy.
 
 Continuous supports discretize `[a, b]` once, at construction, with a
 composite Gauss-Legendre rule (panels of up to 32 nodes).  Every downstream
@@ -52,8 +53,11 @@ MIN_CONTINUOUS_NODES = 16
 MASS_TOL_DISCRETE = 1e-12
 #: Tolerance for |integral(p) - 1| on continuous solutions.
 MASS_TOL_CONTINUOUS = 1e-10
-#: Relative tolerance when rebuilding the density from its multipliers.
-RECONSTRUCTION_RTOL = 1e-12
+
+_UNDERFLOW = (
+    "multipliers drive the density to zero at some nodes (floating-point underflow); "
+    "the targets are too near the attainable boundary, or not attainable together"
+)
 
 
 class MaxentError(Exception):
@@ -73,8 +77,19 @@ class ActiveSetCycleError(MaxentError):
     interval solve became one Newton run."""
 
 
-def _readonly(a: NDArray, dtype: type = np.float64) -> NDArray:
-    a = np.ascontiguousarray(a, dtype=dtype)
+def _readonly(a: ArrayLike, dtype: type = np.float64) -> NDArray:
+    """``a`` as a read-only C-contiguous array of ``dtype``: a copy, so the
+    caller's array stays writeable and later writes to it do not reach the
+    copy; ``a`` itself when it already is such an array and owns its memory,
+    as the package's builders pass their fresh arrays (:func:`_frozen`)."""
+    if (isinstance(a, np.ndarray) and a.dtype == dtype and a.base is None
+            and not a.flags.writeable and a.flags.c_contiguous):
+        return a
+    return _frozen(np.array(a, dtype=dtype, order="C"))
+
+
+def _frozen(a: NDArray) -> NDArray:
+    """``a`` itself made read-only, for a fresh array that nothing else holds."""
     a.flags.writeable = False
     return a
 
@@ -109,17 +124,24 @@ def _reals(values, message: str) -> tuple[float, ...]:
     return tuple(map(float, items))
 
 
-def _real_array(values: ArrayLike, message: str) -> NDArray[np.float64]:
-    """``values`` as a float64 array, converted from integers and floats
-    only, and without a copy when it already is one; ValidationError(message)
-    for any other dtype (strings, bools, objects) and for ragged nesting."""
+def _array_of(values: ArrayLike, kinds: str, message: str) -> NDArray:
+    """``values`` as an array whose dtype kind is one of ``kinds``, without
+    a copy when it already is one; ValidationError(message) for any other
+    dtype and for ragged nesting."""
     try:
         arr = np.asarray(values)
     except ValueError:  # ragged, such as ([0.5], 2.0)
         raise ValidationError(message) from None
-    if arr.dtype.kind not in "iuf":
+    if arr.dtype.kind not in kinds:
         raise ValidationError(message)
-    return arr.astype(np.float64, copy=False)
+    return arr
+
+
+def _real_array(values: ArrayLike, message: str) -> NDArray[np.float64]:
+    """``values`` as a float64 array, converted from integers and floats
+    only, and without a copy when it already is one; ValidationError(message)
+    for any other dtype (strings, bools, objects) and for ragged nesting."""
+    return _array_of(values, "iuf", message).astype(np.float64, copy=False)
 
 
 def _items(values, noun: str) -> tuple:
@@ -177,7 +199,7 @@ def _panel_sizes(n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _reference_rule(q: int) -> tuple[NDArray, NDArray]:
     xi, w = leggauss(q)
-    return _readonly(xi), _readonly(w)
+    return _frozen(xi), _frozen(w)
 
 
 @lru_cache(maxsize=None)
@@ -198,7 +220,7 @@ def _partial_integration_matrix(q: int) -> NDArray[np.float64]:
     J[:, 0] = xi + 1.0
     for j in range(1, q):
         J[:, j] = (V[:, j + 1] - V[:, j - 1]) / (2.0 * j + 1.0)
-    return _readonly(J @ to_coef)
+    return _frozen(J @ to_coef)
 
 
 @dataclass(frozen=True)
@@ -283,7 +305,7 @@ class Support:
 
     @cached_property
     def panel_edges(self) -> NDArray[np.float64]:
-        return _readonly(np.linspace(self.a, self.b, len(self.panel_sizes) + 1))
+        return _frozen(np.linspace(self.a, self.b, len(self.panel_sizes) + 1))
 
     @cached_property
     def _panel_groups(self) -> tuple[tuple[int, slice, slice], ...]:
@@ -300,7 +322,7 @@ class Support:
 
     @cached_property
     def _half_widths(self) -> NDArray[np.float64]:
-        return _readonly(0.5 * np.diff(self.panel_edges))
+        return _frozen(0.5 * np.diff(self.panel_edges))
 
     @cached_property
     def _panel_repeats(self) -> NDArray[np.intp]:
@@ -313,10 +335,10 @@ class Support:
         """Quadrature abscissas, or the discrete points themselves.  A panel
         maps the reference nodes xi as ``mid + hw * xi`` (midpoint, half-width)."""
         if not self.is_continuous:
-            return _readonly(np.asarray(self.points, dtype=np.float64))
+            return _readonly(self.points)
         edges, hw = self.panel_edges, self._half_widths
         mid = 0.5 * (edges[:-1] + edges[1:])
-        return _readonly(np.concatenate([
+        return _frozen(np.concatenate([
             (mid[p, None] + hw[p, None] * _reference_rule(q)[0]).ravel()
             for q, p, _ in self._panel_groups
         ]))
@@ -325,9 +347,9 @@ class Support:
     def weights(self) -> NDArray[np.float64]:
         """Quadrature weights ``hw * w`` per panel; all ones when discrete."""
         if not self.is_continuous:
-            return _readonly(np.ones(self.n))
+            return _frozen(np.ones(self.n))
         hw = self._half_widths
-        return _readonly(np.concatenate([
+        return _frozen(np.concatenate([
             (hw[p, None] * _reference_rule(q)[1]).ravel()
             for q, p, _ in self._panel_groups
         ]))
@@ -586,9 +608,10 @@ def _feature_matrix(
 def _features_and_multipliers(
     support: Support, functions: Sequence[ConstraintFunction], multipliers: ArrayLike
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """The feature matrix, and the multipliers as a vector checked to hold one
-    per row: every map that takes multipliers from a caller checks them here."""
-    lam = np.asarray(multipliers, dtype=np.float64)
+    """The feature matrix, and the multipliers as a vector of integers or
+    floats (see :func:`_real_array`) checked to hold one per row: every map
+    that takes multipliers from a caller checks them here."""
+    lam = _real_array(multipliers, "multipliers must be real numbers")
     H = _feature_matrix(support, functions)
     if lam.shape != (H.shape[0],):
         raise ValidationError("one multiplier per constraint function is required")
@@ -619,7 +642,8 @@ def validate_problem(
 
 @dataclass(frozen=True)
 class SolverDiagnostics:
-    """What the solver did and how well the targets were met.
+    """What Newton did; how well the targets were met is the solution's
+    own :attr:`MaxEntSolution.residuals`.
 
     Attributes:
         iterations: accepted Newton steps of the solve; 1 for a determined
@@ -627,12 +651,6 @@ class SolverDiagnostics:
             assessed points), whose first step goes to its exact
             multipliers.
         grad_max_norm: max-norm of the final dual gradient.
-        residuals: signed per-constraint residuals; for an interval
-            constraint this is the signed distance outside its bounds
-            (0.0 when satisfied).
-        active_bounds: per constraint, one of "eq", "lo", "hi", "slack";
-            a bracket's label is its multiplier's sign (negative "lo",
-            positive "hi", zero "slack").
         atoms: columns Newton ran on: runs of nodes with equal feature
             columns, each merged into one (the node count when none merge).
         dual_trace: dual objective at the start and after each accepted
@@ -644,8 +662,6 @@ class SolverDiagnostics:
 
     iterations: int
     grad_max_norm: float
-    residuals: tuple[float, ...]
-    active_bounds: tuple[str, ...]
     atoms: int
     dual_trace: tuple[float, ...] = field(default=(), repr=False)
     halvings: int = 0
@@ -654,65 +670,85 @@ class SolverDiagnostics:
 
 @dataclass(frozen=True, eq=False)
 class MaxEntSolution:
-    """A solved maximum-entropy density in exponential form.
+    """A solved maximum-entropy density in exponential form, given by its
+    multipliers m: one per constraint, finite integers or floats, stored
+    read-only (a writeable array is copied).  The constraints are checked by
+    :func:`validate_problem` and stored as its tuple.
 
-    The density at node x_i is exp(-log_partition - sum_j m_j h_j(x_i)) with
-    multipliers m.  Construction rebuilds both from the multipliers by the
-    solver's rule (:func:`_exponential_form`) and rejects the solution if
-    anything fails to line up:
+    Construction derives the rest from one evaluation by the solver's rule
+    (:func:`_exponential_form`): the read-only ``density``
+    exp(-log_partition - sum_j m_j h_j(x_i)) at every node, ``log_partition``
+    (log Z), ``residuals`` (each moment's signed distance to its target: an
+    equality's miss, 0.0 inside an interval) and ``active_bounds`` ("eq", or
+    an interval's label by the sign of its multiplier: "lo" negative, "hi"
+    positive, "slack" zero).  ``entropy`` is computed on first read, by
+    :func:`differential_entropy` or :func:`discrete_entropy`.  A density
+    that underflows to zero at some node raises InfeasibleError; a total
+    mass (sum for discrete, quadrature for continuous) off 1 by more than
+    1e-12 (discrete) or 1e-10 (continuous) raises ValidationError.
 
-    * density strictly positive at every node;
-    * total mass 1 (sum for discrete, quadrature for continuous);
-    * log_partition and the density (relative) within 1e-12 of the rebuild.
-
-    The rebuild reads ``features``, the constraint functions tabulated at
-    the nodes (one row per constraint), when the caller already holds them:
-    the solver passes the matrix it solved on, so a solve tabulates each
-    constraint once.  The matrix is not kept on the solution.  Without it,
-    construction tabulates the constraints itself, as
-    :func:`exponential_density` does.
+    ``features``, the constraint functions tabulated at the nodes (one row
+    per constraint), spares the tabulation: the solver passes the matrix it
+    solved on, so a solve tabulates each constraint once.  The matrix is not
+    kept, so ``dataclasses.replace`` tabulates afresh.
     """
 
     support: Support
     constraints: tuple[ConstraintSpec, ...]
-    density: NDArray[np.float64]
     multipliers: NDArray[np.float64]
-    log_partition: float
-    entropy: float
     diagnostics: SolverDiagnostics
     features: InitVar[NDArray[np.float64] | None] = None
+    density: NDArray[np.float64] = field(init=False)
+    log_partition: float = field(init=False)
+    residuals: tuple[float, ...] = field(init=False)
+    active_bounds: tuple[str, ...] = field(init=False)
 
     def __post_init__(self, features: NDArray[np.float64] | None) -> None:
-        object.__setattr__(self, "density", _readonly(self.density))
-        object.__setattr__(self, "multipliers", _readonly(self.multipliers))
-        n, m = self.support.n, len(self.constraints)
-        if self.density.shape != (n,):
-            raise ValidationError("solution density needs one value per node")
-        if self.multipliers.shape != (m,):
+        support, specs = self.support, validate_problem(self.support, self.constraints)
+        message = "multipliers must be real numbers"
+        lam = _readonly(_real_array(self.multipliers, message))
+        object.__setattr__(self, "constraints", specs)
+        object.__setattr__(self, "multipliers", lam)
+        n, m = support.n, len(specs)
+        if lam.shape != (m,):
             raise ValidationError("solution needs one multiplier per constraint")
-        if not (self.density > 0.0).all():
-            raise ValidationError("solution density must be strictly positive")
-        mass = self.support.integrate(self.density)
-        tol = MASS_TOL_CONTINUOUS if self.support.is_continuous else MASS_TOL_DISCRETE
-        if abs(mass - 1.0) > tol:
-            raise ValidationError(f"solution mass {mass!r} is not 1 within {tol:g}")
-        H = (_feature_matrix(self.support, [s.function for s in self.constraints])
+        if not np.isfinite(lam).all():
+            raise ValidationError("solution multipliers must be finite")
+        H = (_feature_matrix(support, [s.function for s in specs])
              if features is None else np.asarray(features, dtype=np.float64))
         if H.shape != (m, n):
             raise ValidationError(
                 "solution features need one row per constraint and one column "
                 "per node"
             )
-        lz, rebuilt = _exponential_form(H, self.support.weights, self.multipliers)
-        # log Z's miss comes first, so that a NaN there fails the test too.
-        err = max(abs(lz - self.log_partition),
-                  (np.abs(rebuilt - self.density) / self.density).max())
-        if not err <= RECONSTRUCTION_RTOL:
-            raise ValidationError(
-                f"log Z and density do not match their multipliers (err {err:.3e})"
-            )
-        if not math.isfinite(self.entropy):
-            raise ValidationError("solution entropy must be finite")
+        log_z, p = _exponential_form(H, support.weights, lam)
+        if not (p > 0.0).all():
+            raise InfeasibleError(_UNDERFLOW)
+        mass = support.integrate(p)
+        tol = MASS_TOL_CONTINUOUS if support.is_continuous else MASS_TOL_DISCRETE
+        if abs(mass - 1.0) > tol:
+            raise ValidationError(f"solution mass {mass!r} is not 1 within {tol:g}")
+        residuals, labels = [], []
+        moments = ((support.weights * p) @ H.T).tolist()
+        for spec, x, sign in zip(specs, moments, lam.tolist()):
+            # The moment's distance to its bracket; an equality's miss.
+            lo, hi = (spec.equals, spec.equals) if spec.is_equality else spec.bounds
+            residuals.append(x - min(max(x, lo), hi))
+            labels.append("eq" if spec.is_equality
+                          else "hi" if sign > 0.0 else "lo" if sign < 0.0 else "slack")
+        object.__setattr__(self, "density", _frozen(p))
+        object.__setattr__(self, "log_partition", log_z)
+        object.__setattr__(self, "residuals", tuple(residuals))
+        object.__setattr__(self, "active_bounds", tuple(labels))
+
+    @cached_property
+    def entropy(self) -> float:
+        """The density's entropy in nats, computed on first read."""
+        from .entropy import differential_entropy, discrete_entropy  # imports core
+
+        if self.support.is_continuous:
+            return differential_entropy(self.density, self.support).value
+        return discrete_entropy(self.density).value
 
 
 def exponential_density(

@@ -14,7 +14,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import MaxEntSolution, Support, ValidationError, _readonly
+from .core import (
+    MaxEntSolution, Support, ValidationError,
+    _array_of, _frozen, _readonly, _real_array,
+)
 from .entropy import ZERO_MASS_FLOOR
 from .utility import UtilityCurve
 
@@ -36,6 +39,11 @@ class RiskAversionProfile:
     difference stencil would span an indicator jump are left out.  When
     ``terms`` is present (analytic route), row j is m_j * h_j'(x) and the
     rows must sum to gamma.
+
+    Node indices must have an integer dtype (an empty list is float, so an
+    empty profile takes an empty integer array); gamma and terms are
+    integers or floats.  Each is stored read-only, and a writeable array is
+    copied, so later writes to the caller's array do not reach the profile.
     """
 
     support: Support
@@ -44,16 +52,17 @@ class RiskAversionProfile:
     terms: NDArray[np.float64] | None = None
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.node_indices, dtype=np.int64)
-        g = np.asarray(self.gamma, dtype=np.float64)
-        object.__setattr__(self, "node_indices", _readonly(idx, dtype=np.int64))
-        object.__setattr__(self, "gamma", _readonly(g))
+        message = "profile node indices must be integers"
+        idx = _array_of(self.node_indices, "iu", message)
+        g = _real_array(self.gamma, "gamma values must be real numbers")
         if idx.shape != g.shape:
             raise ValidationError("profile needs one gamma per covered node")
         if len(idx) and (idx.min() < 0 or idx.max() >= self.support.n):
             raise ValidationError("profile node indices fall outside the support")
+        object.__setattr__(self, "node_indices", _readonly(idx, dtype=np.int64))
+        object.__setattr__(self, "gamma", _readonly(g))
         if self.terms is not None:
-            t = _readonly(np.asarray(self.terms, dtype=np.float64))
+            t = _readonly(_real_array(self.terms, "terms must be real numbers"))
             object.__setattr__(self, "terms", t)
             if t.ndim != 2 or t.shape[1] != len(g):
                 raise ValidationError("terms need one row per constraint")
@@ -101,11 +110,12 @@ def risk_aversion_analytic(solution: MaxEntSolution) -> RiskAversionProfile:
             row.fill(m_j * 0.0)
         else:
             row[:] = m_j * spec.function.derivative(support)[idx]
+    # Frozen, the fresh gamma and terms (K x n) are kept rather than copied.
     return RiskAversionProfile(
         support=support,
         node_indices=idx,
-        gamma=terms.sum(axis=0),
-        terms=terms,
+        gamma=_frozen(terms.sum(axis=0)),
+        terms=_frozen(terms),
     )
 
 

@@ -52,8 +52,11 @@ scaled Hessian goes to LAPACK's gufuncs directly (:func:`_inverse_factor`).
 Nodes with equal feature columns have equal density, so Newton runs on
 atoms: each run of equal adjacent columns becomes one column carrying the
 run's summed weight (an assessed utility on 8192 nodes has K+1 atoms, one
-per cell between its K points), while the final log Z, density, residuals
-and entropy are evaluated on the full grid.
+per cell between its K points).  The solve then hands Newton's multipliers
+and the full-grid feature matrix to :class:`~maxentutil.core.MaxEntSolution`,
+which evaluates log Z, the density, the residuals and the bracket labels on
+the full grid, once, and the entropy when it is first read; the solve only
+checks the interval residuals against tol.
 
 A determined problem, m equality rows on m + 1 merged atoms (K assessed
 points, or indicators cutting a discrete support into m + 1 runs), has one
@@ -84,6 +87,7 @@ from .core import (
     SolverDiagnostics,
     Support,
     ValidationError,
+    _UNDERFLOW,
     _exponential_form,
     _feature_matrix,
     _features_and_multipliers,
@@ -91,8 +95,6 @@ from .core import (
     _integer,
     validate_problem,
 )
-from .entropy import differential_entropy, discrete_entropy
-
 if TYPE_CHECKING:
     from numpy.typing import NDArray
 
@@ -119,10 +121,6 @@ _ARMIJO_ROUNDING = 8.0 * np.finfo(np.float64).eps
 #: Added to the unit diagonal of the scaled Hessian, so that consistent but
 #: linearly dependent constraints still factor.
 _RIDGE = 1e-14
-_UNDERFLOW = (
-    "multipliers drive the density to zero at some nodes (floating-point underflow); "
-    "the targets are too near the attainable boundary, or not attainable together"
-)
 _SINGULAR = "the dual Hessian is singular; the problem is infeasible or unbounded"
 
 
@@ -508,8 +506,8 @@ def _solve(
     hc_size = np.maximum(h_max - center, center - h_min)
     # A determined problem's first step goes straight to its multipliers.
     # Only merged atoms qualify: m powers on m + 1 points can have exact
-    # multipliers near 1e7, at which the full-grid log Z below loses the
-    # mass to rounding.
+    # multipliers near 1e7, at which the solution's full-grid log Z loses
+    # the mass to rounding.
     exact = None
     if starts is not None and Ha.shape[1] == len(specs) + 1 and (lo == hi).all():
         exact = _determined(Ha, wa, Hc, lo)
@@ -517,46 +515,20 @@ def _solve(
         Hc, wa, lo - center, hi - center, hc_size, tol, options.max_iter, exact,
     )
 
-    lz, density = _exponential_form(H, w, lam)
-    if not (density > 0.0).all():
-        raise InfeasibleError(_UNDERFLOW)
-    moment = (w * density) @ H.T
-    residuals, labels = [], []
-    for i, spec in enumerate(specs):
-        # The moment's distance to its bracket; an equality's miss.
-        residuals.append(moment[i] - min(max(moment[i], lo[i]), hi[i]))
-        if spec.is_equality:
-            labels.append("eq")
-            continue
-        if moment[i] < lo[i] - tol or moment[i] > hi[i] + tol:
+    solution = MaxEntSolution(
+        support=support, constraints=specs, multipliers=lam, features=H,
+        diagnostics=SolverDiagnostics(
+            iterations=iters, grad_max_norm=gnorm, atoms=Ha.shape[1],
+            dual_trace=tuple(trace), halvings=halvings, ratio_stops=ratio_stops,
+        ),
+    )
+    for spec, residual in zip(specs, solution.residuals):
+        if not spec.is_equality and abs(residual) > tol:
             raise InfeasibleError(
                 f"interval constraint {spec.function.label()} violated after "
                 "Newton; the problem is infeasible or unbounded"
             )
-        labels.append("hi" if lam[i] > 0.0 else "lo" if lam[i] < 0.0 else "slack")
-
-    entropy = (differential_entropy(density, support) if support.is_continuous
-               else discrete_entropy(density))
-    diagnostics = SolverDiagnostics(
-        iterations=iters,
-        grad_max_norm=gnorm,
-        residuals=tuple(float(r) for r in residuals),
-        active_bounds=tuple(labels),
-        atoms=Ha.shape[1],
-        dual_trace=tuple(trace),
-        halvings=halvings,
-        ratio_stops=ratio_stops,
-    )
-    return MaxEntSolution(
-        support=support,
-        constraints=specs,
-        density=density,
-        multipliers=lam,
-        log_partition=lz,
-        entropy=entropy.value,
-        diagnostics=diagnostics,
-        features=H,
-    )
+    return solution
 
 
 def solve_equality(

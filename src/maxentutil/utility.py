@@ -29,6 +29,7 @@ from .core import (
     ValidationError,
     _density_on,
     _finite,
+    _frozen,
     _integer,
     _items,
     _masses,
@@ -68,7 +69,7 @@ REFINED_GRID_CACHE = 32
 @dataclass(frozen=True, eq=False)
 class UtilityVector:
     """Normalized utilities over ordered outcomes: u_0 = 0, u_last = 1,
-    nondecreasing."""
+    nondecreasing; stored read-only, a writeable array copied."""
 
     values: NDArray[np.float64]
 
@@ -93,7 +94,8 @@ class UtilityVector:
 @dataclass(frozen=True, eq=False)
 class UtilityIncrementVector:
     """Differences of a normalized utility vector: non-negative, summing
-    to 1.  Structurally a probability mass vector."""
+    to 1; stored read-only, a writeable array copied.  Structurally a
+    probability mass vector."""
 
     increments: NDArray[np.float64]
 
@@ -156,24 +158,25 @@ class UtilityCurve:
             raise ValidationError("utility curve must be nondecreasing")
         if curve.min() < -1e-10 or curve.max() > 1.0 + 1e-10:
             raise ValidationError("curve values must lie in [0, 1]")
-        object.__setattr__(self, "density", _readonly(u / total))
-        object.__setattr__(self, "curve", _readonly(curve))
-        object.__setattr__(self, "edge_curve", _readonly(edge_curve))
+        object.__setattr__(self, "density", _frozen(u / total))
+        object.__setattr__(self, "curve", _frozen(curve))
+        object.__setattr__(self, "edge_curve", _frozen(edge_curve))
 
     @cached_property
     def _knots(self) -> tuple[NDArray, NDArray]:
         xs = np.concatenate((self.support.nodes, self.support.panel_edges))
         us = np.concatenate((self.curve, self.edge_curve))
         order = np.argsort(xs, kind="stable")
-        return _readonly(xs[order]), _readonly(us[order])
+        return _frozen(xs[order]), _frozen(us[order])
 
     def evaluate(self, x) -> NDArray[np.float64] | float:
-        """U at arbitrary points of [a, b], interpolated between grid knots.
+        """U at arbitrary points of [a, b] (integers or floats),
+        interpolated between grid knots.
 
         Exact at panel edges for densities that are constant on each panel.
         """
         xs, us = self._knots
-        arr = np.asarray(x, dtype=np.float64)
+        arr = _real_array(x, "curve points must be real numbers")
         # Written so that NaN fails the test too.
         if not np.all((arr >= self.support.lower) & (arr <= self.support.upper)):
             raise ValidationError("curve evaluated outside its support")

@@ -72,7 +72,7 @@ def test_criterion_02_exponential_family():
             [_eq(ConstraintFunction.power(1), 1.0)],
         )
         assert abs(sol.multipliers[0] - oracle) <= 1e-6
-        assert abs(sol.diagnostics.residuals[0]) <= 1e-8
+        assert abs(sol.residuals[0]) <= 1e-8
 
 
 def test_criterion_03_gaussian_family():

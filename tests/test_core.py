@@ -4,9 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from maxentutil import core
 from maxentutil.core import (
     ConstraintFunction,
     ConstraintSpec,
+    InfeasibleError,
     MaxEntSolution,
     SolverDiagnostics,
     Support,
@@ -604,68 +606,98 @@ def test_validate_problem_reads_any_iterable_once():
 
 # ---------------------------------------------------------------- solutions
 
-def _diag(m: int) -> SolverDiagnostics:
-    return SolverDiagnostics(
-        iterations=0,
-        grad_max_norm=0.0,
-        residuals=(0.0,) * m,
-        active_bounds=("eq",) * m,
-        atoms=1,  # with no constraints every node is in one run
+def _uniform_on_two_points(**fields) -> MaxEntSolution:
+    return MaxEntSolution(
+        support=Support.discrete([0.0, 1.0]),
+        constraints=(),
+        multipliers=np.zeros(0),
+        # with no constraints every node is in one run
+        diagnostics=SolverDiagnostics(iterations=0, grad_max_norm=0.0, atoms=1),
+        **fields,
     )
 
 
 def test_solution_accepts_consistent_uniform():
-    s = Support.discrete([0.0, 1.0])
-    sol = MaxEntSolution(
-        support=s,
-        constraints=(),
-        density=np.array([0.5, 0.5]),
-        multipliers=np.zeros(0),
-        log_partition=np.log(2.0),
-        entropy=np.log(2.0),
-        diagnostics=_diag(0),
-    )
-    rebuilt = exponential_density(s, (), sol.multipliers)
+    sol = _uniform_on_two_points()
+    rebuilt = exponential_density(sol.support, (), sol.multipliers)
     assert np.array_equal(rebuilt, sol.density)
+    assert sol.density.tolist() == [0.5, 0.5]
+    assert sol.log_partition == math.log(2.0)
+    assert (sol.residuals, sol.active_bounds) == ((), ())
 
 
-def test_solution_rejects_unnormalized_density():
-    s = Support.discrete([0.0, 1.0])
-    with pytest.raises(ValidationError, match="mass"):
-        MaxEntSolution(
-            support=s,
-            constraints=(),
-            density=np.array([0.7, 0.2]),
-            multipliers=np.zeros(0),
-            log_partition=np.log(2.0),
-            entropy=0.5,
-            diagnostics=_diag(0),
-        )
-
-
-def test_solution_rejects_density_that_disagrees_with_multipliers():
-    s = Support.discrete([0.0, 1.0])
-    with pytest.raises(ValidationError, match="multipliers"):
-        MaxEntSolution(
-            support=s,
-            constraints=(),
-            density=np.array([0.6, 0.4]),
-            multipliers=np.zeros(0),
-            log_partition=np.log(2.0),
-            entropy=0.5,
-            diagnostics=_diag(0),
-        )
+def test_solution_rejects_unnormalized_density(monkeypatch):
+    # The kernel normalizes by construction; a kernel that does not reaches
+    # the mass check.
+    monkeypatch.setattr(
+        core, "_exponential_form", lambda H, w, lam: (math.log(2.0), np.array([0.75, 0.125]))
+    )
+    with pytest.raises(ValidationError, match="^solution mass 0.875 is not 1 within 1e-12$"):
+        _uniform_on_two_points()
 
 
 def test_solution_rejects_zero_density():
-    s = Support.discrete([0.0, 1.0])
-    with pytest.raises(ValidationError, match="positive"):
+    # exp(-1e4) underflows to zero at x = 1.
+    specs = (ConstraintSpec.equality(ConstraintFunction.power(1), 0.5),)
+    with pytest.raises(InfeasibleError) as excinfo:
         MaxEntSolution(
-            support=s,
-            constraints=(),
-            density=np.array([1.0, 0.0]),
-            multipliers=np.zeros(0),
-            log_partition=0.0,
-            entropy=0.0,
-            diagnostics=_diag(0),
+            support=Support.discrete([0.0, 1.0]),
+            constraints=specs,
+            multipliers=np.array([1e4]),
+            diagnostics=SolverDiagnostics(iterations=0, grad_max_norm=0.0, atoms=2),
         )
+    assert str(excinfo.value) == core._UNDERFLOW
+
+
+def test_readonly_keeps_only_a_frozen_array_that_owns_its_memory():
+    kept = core._frozen(np.arange(3.0))
+    assert core._readonly(kept) is kept
+    base = np.arange(3.0)
+    # A writeable array, a view of it (read-only or not), another dtype and a
+    # list are copied: nothing written to them later reaches the copy.
+    for given in (base, base[:], core._frozen(base[1:]), kept.astype(np.float32),
+                  [0.0, 1.0]):
+        out = core._readonly(given)
+        assert out is not given and not np.shares_memory(out, base)
+        assert not out.flags.writeable and out.dtype == np.float64
+    assert base.flags.writeable
+
+
+def _mean_solution(multipliers) -> MaxEntSolution:
+    return MaxEntSolution(
+        support=Support.continuous(0.0, 1.0, 64),
+        constraints=(ConstraintSpec.equality(ConstraintFunction.power(1), 0.5),),
+        multipliers=multipliers,
+        diagnostics=SolverDiagnostics(iterations=0, grad_max_norm=0.0, atoms=64),
+    )
+
+
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        (["0.5"], "multipliers must be real numbers"),
+        ([True], "multipliers must be real numbers"),
+        ([None], "multipliers must be real numbers"),
+        (np.array([1.0 + 0.0j]), "multipliers must be real numbers"),
+        ([math.nan], "solution multipliers must be finite"),
+        ([-math.inf], "solution multipliers must be finite"),
+    ],
+)
+def test_solution_multipliers_must_be_finite_integers_or_floats(values, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        _mean_solution(values)
+
+
+def test_solution_takes_integer_multipliers():
+    assert _mean_solution([1]).density.tobytes() == _mean_solution([1.0]).density.tobytes()
+
+
+def test_solution_copies_the_callers_multipliers_and_derives_a_read_only_density():
+    lam = np.array([0.5])
+    sol = _mean_solution(lam)
+    assert lam.flags.writeable
+    lam[0] = 2.0
+    assert sol.multipliers.tolist() == [0.5]
+    for derived in (sol.multipliers, sol.density):
+        with pytest.raises(ValueError, match="read-only"):
+            derived[0] = 0.0

@@ -73,7 +73,7 @@ def _check(support, q, H, sol, lo, hi, tol):
     moment = H @ (support.weights * p)
     assert np.all(moment >= lo - tol)
     assert np.all(moment <= hi + tol)
-    assert np.max(np.abs(sol.diagnostics.residuals)) <= tol
+    assert np.max(np.abs(sol.residuals)) <= tol
 
     bound = np.where(lam > 0.0, hi, lo)
     rounding = 1e-13 * np.maximum(1.0, np.abs(bound))

@@ -9,14 +9,13 @@ from maxentutil.core import (
     SolverDiagnostics,
     Support,
     ValidationError,
-    exponential_density,
 )
 from maxentutil.risk import (
     RiskAversionProfile,
     risk_aversion_analytic,
     risk_aversion_numeric,
 )
-from maxentutil.solver import log_partition, solve_equality, solve_interval
+from maxentutil.solver import solve_equality, solve_interval
 from maxentutil.utility import density_to_curve
 
 CARA_LAMBDA = 0.960201509944503
@@ -102,7 +101,7 @@ def test_slack_interval_does_not_change_the_profile():
             ConstraintSpec.interval(ConstraintFunction.power(2), 0.5, 50.0),
         ],
     )
-    assert widened.diagnostics.active_bounds[1] == "slack"
+    assert widened.active_bounds[1] == "slack"
     a = risk_aversion_analytic(base)
     b = risk_aversion_analytic(widened)
     assert np.max(np.abs(a.gamma - b.gamma)) < 1e-8
@@ -180,18 +179,11 @@ def hand_built_solutions(draw):
         dtype=np.float64,
     )
     specs = tuple(ConstraintSpec.equality(f, 0.0) for f in functions)
-    lz = log_partition(support, functions, lam)
     return MaxEntSolution(
         support=support,
         constraints=specs,
-        density=exponential_density(support, specs, lam),
         multipliers=lam,
-        log_partition=lz,
-        entropy=0.0,
-        diagnostics=SolverDiagnostics(
-            iterations=0, grad_max_norm=0.0, residuals=(0.0,) * m,
-            active_bounds=("eq",) * m, atoms=support.n,
-        ),
+        diagnostics=SolverDiagnostics(iterations=0, grad_max_norm=0.0, atoms=support.n),
     )
 
 
@@ -256,6 +248,48 @@ def test_numeric_rejects_zero_density_nodes():
 
 
 # ------------------------------------------------------------- invariants
+
+# Node indices are integers, and gamma and terms integers or floats:
+# strings, bools and floats (for indices) are not converted.
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        (dict(node_indices=["1", "2"]), "profile node indices must be integers"),
+        (dict(node_indices=[1.0, 2.0]), "profile node indices must be integers"),
+        (dict(node_indices=[True, False]), "profile node indices must be integers"),
+        (dict(node_indices=[[1], 2]), "profile node indices must be integers"),
+        (dict(gamma=["0.5", "0.1"]), "gamma values must be real numbers"),
+        (dict(gamma=[True, False]), "gamma values must be real numbers"),
+        (dict(terms=[["0.5", "0.1"]]), "terms must be real numbers"),
+        (dict(terms=np.array([[True, False]])), "terms must be real numbers"),
+    ],
+)
+def test_profile_takes_integer_indices_and_real_values_only(fields, message):
+    args = dict(support=Support.continuous(0.0, 1.0, 64), node_indices=[1, 2],
+                gamma=[0.5, 0.1])
+    args.update(fields)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        RiskAversionProfile(**args)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.intp])
+def test_profile_takes_any_integer_indices(dtype):
+    p = RiskAversionProfile(support=Support.continuous(0.0, 1.0, 64),
+                            node_indices=np.array([1, 2], dtype=dtype), gamma=[1, 2])
+    assert p.node_indices.dtype == np.int64 and p.gamma.dtype == np.float64
+    assert p.node_indices.tolist() == [1, 2] and p.gamma.tolist() == [1.0, 2.0]
+
+
+def test_profile_copies_the_callers_arrays():
+    idx, g, t = np.array([1, 2]), np.array([0.5, 0.1]), np.array([[0.5, 0.1]])
+    p = RiskAversionProfile(support=Support.continuous(0.0, 1.0, 64),
+                            node_indices=idx, gamma=g, terms=t)
+    assert idx.flags.writeable and g.flags.writeable and t.flags.writeable
+    idx[0], g[0], t[0, 0] = 3, 9.0, 9.0
+    assert p.node_indices.tolist() == [1, 2]
+    assert p.gamma.tolist() == [0.5, 0.1]
+    assert p.terms.tolist() == [[0.5, 0.1]]
+
 
 def test_profile_validates_its_own_shape():
     s = Support.continuous(0.0, 1.0, 64)

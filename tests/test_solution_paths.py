@@ -36,8 +36,8 @@ SOLUTIONS = _solutions()
 
 
 def test_the_solutions_cover_slack_and_pinned_brackets():
-    assert SOLUTIONS["slack bracket"].diagnostics.active_bounds == ("slack",)
-    assert SOLUTIONS["pinned bracket"].diagnostics.active_bounds == ("hi", "slack")
+    assert SOLUTIONS["slack bracket"].active_bounds == ("slack",)
+    assert SOLUTIONS["pinned bracket"].active_bounds == ("hi", "slack")
 
 
 @pytest.mark.parametrize("kind", sorted(SOLUTIONS))

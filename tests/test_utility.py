@@ -67,6 +67,19 @@ def test_utility_vectors_take_integers():
     assert UtilityIncrementVector([1]).increments.tolist() == [1.0]
 
 
+@pytest.mark.parametrize("build", [UtilityVector, UtilityIncrementVector])
+def test_utility_vectors_copy_the_callers_array(build):
+    v = np.array([0.0, 0.25, 1.0]) if build is UtilityVector else np.array([0.25, 0.75])
+    kept = v.tolist()
+    obj = build(v)
+    assert v.flags.writeable
+    v[1] = 0.5
+    stored = obj.values if build is UtilityVector else obj.increments
+    assert stored.tolist() == kept
+    with pytest.raises(ValueError, match="read-only"):
+        stored[1] = 0.5
+
+
 def test_increments_of_simple_vector():
     u = UtilityVector(np.array([0.0, 0.25, 0.75, 1.0]))
     d = increments(u)
@@ -254,6 +267,23 @@ def test_curve_evaluate_rejects_nan():
         curve.evaluate(np.array([0.5, float("nan")]))
 
 
+@pytest.mark.parametrize(
+    "points", ["0.5", True, [0.25, "0.5"], np.array([False]), None, [[0.5], 0.25]]
+)
+def test_curve_evaluate_takes_integers_and_floats_only(points):
+    s = Support.continuous(0.0, 1.0, 64)
+    curve = density_to_curve(np.ones(s.n), s)
+    with pytest.raises(ValidationError, match="^curve points must be real numbers$"):
+        curve.evaluate(points)
+
+
+def test_curve_evaluate_takes_integers():
+    s = Support.continuous(0.0, 1.0, 64)
+    curve = density_to_curve(np.ones(s.n), s)
+    assert curve.evaluate(1) == curve.evaluate(1.0) == 1.0
+    assert curve.evaluate([0, 1]).tolist() == [0.0, 1.0]
+
+
 # -------------------------------------------------------- maxent utilities
 
 def test_maxent_utility_unconstrained_is_linear():
@@ -267,7 +297,7 @@ def test_maxent_utility_routes_intervals():
     s = Support.continuous(0.0, 1.0, 128)
     spec = ConstraintSpec.interval(ConstraintFunction.power(1), 0.4, 0.6)
     curve, sol = maxent_utility(s, [spec])
-    assert sol.diagnostics.active_bounds == ("slack",)
+    assert sol.active_bounds == ("slack",)
     assert np.max(np.abs(curve.curve - s.nodes)) < 1e-10
 
 

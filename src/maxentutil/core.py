@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import weakref
 from dataclasses import InitVar, dataclass, field
 from functools import lru_cache, cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -591,17 +593,26 @@ class ConstraintSpec:
         return self.equals is not None
 
 
+#: The support and the functions of the last call to :func:`_feature_matrix`,
+#: and a weak reference to its matrix, for :class:`MaxEntSolution` to
+#: recognize the matrix without keeping it alive.
+_last_table: tuple = ()
+
+
 def _feature_matrix(
     support: Support, functions: Sequence[ConstraintFunction]
 ) -> NDArray[np.float64]:
-    """Row j holds functions[j] tabulated at every support node; the
-    functions are read once, so any iterable of them will do."""
+    """Row j holds functions[j] tabulated at every support node, in a fresh
+    read-only matrix; the functions are read once, so any iterable of them
+    will do."""
+    global _last_table
     functions = _items(functions, "constraint functions")
     H = np.empty((len(functions), support.n))
     for j, f in enumerate(functions):
         if not isinstance(f, ConstraintFunction):
             raise ValidationError(f"constraint function {j}: not a ConstraintFunction")
         H[j] = f.tabulate(support)
+    _last_table = (support, *functions, weakref.ref(_frozen(H)))
     return H
 
 
@@ -678,19 +689,22 @@ class MaxEntSolution:
     Construction derives the rest from one evaluation by the solver's rule
     (:func:`_exponential_form`): the read-only ``density``
     exp(-log_partition - sum_j m_j h_j(x_i)) at every node, ``log_partition``
-    (log Z), ``residuals`` (each moment's signed distance to its target: an
-    equality's miss, 0.0 inside an interval) and ``active_bounds`` ("eq", or
-    an interval's label by the sign of its multiplier: "lo" negative, "hi"
-    positive, "slack" zero).  ``entropy`` is computed on first read, by
-    :func:`differential_entropy` or :func:`discrete_entropy`.  A density
+    (log Z), ``entropy`` (in nats, by :func:`differential_entropy` or
+    :func:`discrete_entropy`), ``residuals`` (each moment's signed distance
+    to its target: an equality's miss, 0.0 inside an interval) and
+    ``active_bounds`` ("eq", or an interval's label by the sign of its
+    multiplier: "lo" negative, "hi" positive, "slack" zero).  A density
     that underflows to zero at some node raises InfeasibleError; a total
     mass (sum for discrete, quadrature for continuous) off 1 by more than
     1e-12 (discrete) or 1e-10 (continuous) raises ValidationError.
 
-    ``features``, the constraint functions tabulated at the nodes (one row
-    per constraint), spares the tabulation: the solver passes the matrix it
-    solved on, so a solve tabulates each constraint once.  The matrix is not
-    kept, so ``dataclasses.replace`` tabulates afresh.
+    ``features`` spares the tabulation of the constraint functions at the
+    nodes when it is the matrix the solve just tabulated for them: the
+    solver passes the matrix it solved on, so a solve tabulates each
+    constraint once.  A matrix without one row per constraint and one column
+    per node raises ValidationError; any other matrix is not taken on trust,
+    and the constraints are tabulated afresh.  The matrix is not kept, so
+    ``dataclasses.replace`` tabulates afresh.
     """
 
     support: Support
@@ -700,10 +714,13 @@ class MaxEntSolution:
     features: InitVar[NDArray[np.float64] | None] = None
     density: NDArray[np.float64] = field(init=False)
     log_partition: float = field(init=False)
+    entropy: float = field(init=False)
     residuals: tuple[float, ...] = field(init=False)
     active_bounds: tuple[str, ...] = field(init=False)
 
     def __post_init__(self, features: NDArray[np.float64] | None) -> None:
+        from .entropy import differential_entropy, discrete_entropy  # imports core
+
         support, specs = self.support, validate_problem(self.support, self.constraints)
         message = "multipliers must be real numbers"
         lam = _readonly(_real_array(self.multipliers, message))
@@ -714,13 +731,16 @@ class MaxEntSolution:
             raise ValidationError("solution needs one multiplier per constraint")
         if not np.isfinite(lam).all():
             raise ValidationError("solution multipliers must be finite")
-        H = (_feature_matrix(support, [s.function for s in specs])
-             if features is None else np.asarray(features, dtype=np.float64))
-        if H.shape != (m, n):
+        if features is not None and np.shape(features) != (m, n):
             raise ValidationError(
                 "solution features need one row per constraint and one column "
                 "per node"
             )
+        functions, last = tuple(s.function for s in specs), _last_table
+        trusted = (features is not None and len(last) == m + 2
+                   and last[-1]() is features
+                   and all(map(operator.is_, (support, *functions), last)))
+        H = features if trusted else _feature_matrix(support, functions)
         log_z, p = _exponential_form(H, support.weights, lam)
         if not (p > 0.0).all():
             raise InfeasibleError(_UNDERFLOW)
@@ -728,6 +748,8 @@ class MaxEntSolution:
         tol = MASS_TOL_CONTINUOUS if support.is_continuous else MASS_TOL_DISCRETE
         if abs(mass - 1.0) > tol:
             raise ValidationError(f"solution mass {mass!r} is not 1 within {tol:g}")
+        entropy = (differential_entropy(p, support) if support.is_continuous
+                   else discrete_entropy(p))
         residuals, labels = [], []
         moments = ((support.weights * p) @ H.T).tolist()
         for spec, x, sign in zip(specs, moments, lam.tolist()):
@@ -738,17 +760,9 @@ class MaxEntSolution:
                           else "hi" if sign > 0.0 else "lo" if sign < 0.0 else "slack")
         object.__setattr__(self, "density", _frozen(p))
         object.__setattr__(self, "log_partition", log_z)
+        object.__setattr__(self, "entropy", entropy.value)
         object.__setattr__(self, "residuals", tuple(residuals))
         object.__setattr__(self, "active_bounds", tuple(labels))
-
-    @cached_property
-    def entropy(self) -> float:
-        """The density's entropy in nats, computed on first read."""
-        from .entropy import differential_entropy, discrete_entropy  # imports core
-
-        if self.support.is_continuous:
-            return differential_entropy(self.density, self.support).value
-        return discrete_entropy(self.density).value
 
 
 def exponential_density(

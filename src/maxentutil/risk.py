@@ -103,17 +103,17 @@ def risk_aversion_analytic(solution: MaxEntSolution) -> RiskAversionProfile:
     after = np.searchsorted(x, edges, "right")
     for i, j in zip(first.tolist(), after.tolist()):
         keep[max(i - 1, 0) : j + 1] = False
-    idx = np.flatnonzero(keep)
+    idx = np.arange(support.n)[keep]
     terms = np.empty((len(solution.constraints), len(idx)))
     for row, m_j, spec in zip(terms, solution.multipliers, solution.constraints):
         if spec.function.kind == "indicator":
             row.fill(m_j * 0.0)
         else:
             row[:] = m_j * spec.function.derivative(support)[idx]
-    # Frozen, the fresh gamma and terms (K x n) are kept rather than copied.
+    # Frozen, the fresh arrays (terms is K x n) are kept rather than copied.
     return RiskAversionProfile(
         support=support,
-        node_indices=idx,
+        node_indices=_frozen(idx),
         gamma=_frozen(terms.sum(axis=0)),
         terms=_frozen(terms),
     )
@@ -126,10 +126,11 @@ def risk_aversion_numeric(curve: UtilityCurve) -> RiskAversionProfile:
     if np.any(u[1:-1] <= ZERO_MASS_FLOOR):
         raise ValidationError("density is zero at an interior node")
     neg_log = -np.log(np.maximum(u, ZERO_MASS_FLOOR))
+    # A view of np.gradient's output: the profile keeps a copy of it.
     gamma = np.gradient(neg_log, support.nodes)[1:-1]
     return RiskAversionProfile(
         support=support,
-        node_indices=np.arange(1, support.n - 1, dtype=np.int64),
+        node_indices=_frozen(np.arange(1, support.n - 1, dtype=np.int64)),
         gamma=gamma,
         terms=None,
     )

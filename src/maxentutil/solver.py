@@ -54,9 +54,10 @@ atoms: each run of equal adjacent columns becomes one column carrying the
 run's summed weight (an assessed utility on 8192 nodes has K+1 atoms, one
 per cell between its K points).  The solve then hands Newton's multipliers
 and the full-grid feature matrix to :class:`~maxentutil.core.MaxEntSolution`,
-which evaluates log Z, the density, the residuals and the bracket labels on
-the full grid, once, and the entropy when it is first read; the solve only
-checks the interval residuals against tol.
+which evaluates log Z, the density, the entropy, the residuals and the
+bracket labels on the full grid, once; the solve then checks the interval
+residuals against tol.  A density that loses its mass to rounding is thus
+named (ValidationError) before an interval it misses.
 
 A determined problem, m equality rows on m + 1 merged atoms (K assessed
 points, or indicators cutting a discrete support into m + 1 runs), has one

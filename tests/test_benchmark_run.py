@@ -8,12 +8,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_traced_sweep_small_run_is_correct():
     # A traced run reports a figure for every layer its tracer patches, and
-    # fails with "metrics without a value" when nothing traced reaches one.
-    # A solve no longer calls differential_entropy: a solution computes its
-    # entropy on first read, and the oracle's read runs untraced, so the
-    # entropy.differential_ms figure comes from the in-process CLI runs of
-    # the layer probes, whose summary prints the entropy.  Untraced runs
-    # cannot see that.
+    # fails with "metrics without a value" when nothing traced reaches one
+    # (entropy.differential_ms, when building a solution stops calling
+    # differential_entropy).  Untraced runs cannot see that.
     res = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "sweep-small",
          "--seed", "1", "--seconds", "1", "--trace", "1"],

@@ -25,7 +25,7 @@ from maxentutil.core import (
     exponential_density,
 )
 from maxentutil.entropy import differential_entropy, discrete_entropy
-from maxentutil import entropy, solver
+from maxentutil import core, entropy, solver
 from maxentutil.solver import (
     SolveOptions,
     _bracket_rows,
@@ -182,14 +182,14 @@ def test_entropy_is_that_of_the_density_on_a_solve_and_on_a_copy(kind):
     assert dataclasses.replace(sol).entropy == expected
 
 
-def test_entropy_is_computed_on_first_read_and_once(monkeypatch):
+def test_a_solution_computes_its_entropy_once_when_built(monkeypatch):
     calls = []
     monkeypatch.setattr(
         entropy, "differential_entropy",
         lambda p, s: calls.append(1) or differential_entropy(p, s),
     )
     sol = solve_equality(Support.continuous(0.0, 5.0, 256), [_mean_spec(1.0)])
-    assert calls == []
+    assert calls == [1]
     assert sol.entropy == sol.entropy
     assert calls == [1]
 
@@ -198,7 +198,7 @@ def test_entropy_is_computed_on_first_read_and_once(monkeypatch):
                                   "residuals", "active_bounds"])
 def test_a_derived_value_cannot_be_passed_in(name):
     sol = _SOLVES["continuous"]()
-    with pytest.raises((TypeError, ValueError), match=name):
+    with pytest.raises(ValueError, match=name):
         dataclasses.replace(sol, **{name: getattr(sol, name)})
 
 
@@ -249,6 +249,19 @@ def _solved_fields():
     sol = solve_equality(Support.continuous(0.0, 5.0, 256), specs)
     fields = {f.name: getattr(sol, f.name) for f in dataclasses.fields(sol) if f.init}
     return fields, _feature_matrix(sol.support, [s.function for s in sol.constraints])
+
+
+def test_solution_checks_against_the_passed_feature_matrix():
+    # Only the matrix the solve just tabulated for these constraints is
+    # trusted; any other of the right shape, such as its rows swapped, a
+    # copy, or a matrix tabulated before the last one, is tabulated afresh.
+    fields, H = _solved_fields()
+    fresh = MaxEntSolution(**fields)
+    for given in (np.ascontiguousarray(H[::-1]), H[::-1], H.copy(), H):
+        copy = MaxEntSolution(**fields, features=given)
+        assert copy.log_partition == fresh.log_partition
+        assert copy.residuals == fresh.residuals
+        assert copy.density.tobytes() == fresh.density.tobytes()
 
 
 @pytest.mark.parametrize("shape", ["transposed", "extra row", "short row", "flat"])
@@ -549,6 +562,18 @@ def test_a_bracket_the_full_grid_density_misses_by_more_than_tol_is_named(monkey
     # An equality's miss is Newton's to judge, by its gradient; it is reported.
     sol = solve_interval(support, [ConstraintSpec.equality(mean, 0.2)])
     assert sol.residuals == pytest.approx((0.3,), abs=1e-14)
+
+
+def test_a_density_that_loses_its_mass_is_named_before_a_missed_bracket(monkeypatch):
+    # The solution checks its mass as it is built, before the solve reads
+    # its residuals: a solve that fails both raises the mass error (exit 1).
+    monkeypatch.setattr(solver, "_newton",
+                        lambda H, w, *args: (np.zeros(len(H)), 0, 0.0, (0.0,), 0, 0))
+    monkeypatch.setattr(core, "_exponential_form",
+                        lambda H, w, lam: (0.0, np.full(H.shape[1], 0.5)))
+    support, mean = Support.continuous(0.0, 1.0, 128), ConstraintFunction.power(1)
+    with pytest.raises(ValidationError, match=r"^solution mass 0\.49+4 is not 1 within 1e-10$"):
+        solve_interval(support, [ConstraintSpec.interval(mean, 0.1, 0.2)])
 
 
 def test_a_solve_may_take_exactly_max_iter_steps():

@@ -23,7 +23,7 @@ import itertools
 import math
 import operator
 import weakref
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache, cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -269,12 +269,20 @@ class Support:
                 raise ValidationError("support bounds must be finite real numbers")
             if not self.a < self.b:
                 raise ValidationError("continuous support requires a < b")
+            a, b = float(self.a), float(self.b)
+            # The grid spans b - a and a density on it is near 1/(b - a).
+            width = b - a
+            if not (width > 0.0 and math.isfinite(width) and math.isfinite(1.0 / width)):
+                raise ValidationError(
+                    f"continuous support [{a!r}, {b!r}] is out of floating-point "
+                    "range: b - a and 1/(b - a) must be finite and positive"
+                )
             if self.n < MIN_CONTINUOUS_NODES:
                 raise ValidationError(
                     f"continuous support needs at least {MIN_CONTINUOUS_NODES} nodes"
                 )
-            object.__setattr__(self, "a", float(self.a))
-            object.__setattr__(self, "b", float(self.b))
+            object.__setattr__(self, "a", a)
+            object.__setattr__(self, "b", b)
         else:
             raise ValidationError(f"unknown support kind {self.kind!r}")
 
@@ -594,39 +602,54 @@ class ConstraintSpec:
 
 
 #: The support and the functions of the last call to :func:`_feature_matrix`,
-#: and a weak reference to its matrix, for :class:`MaxEntSolution` to
-#: recognize the matrix without keeping it alive.
+#: and a weak reference to its matrix; read and written there only.
 _last_table: tuple = ()
 
 
 def _feature_matrix(
     support: Support, functions: Sequence[ConstraintFunction]
 ) -> NDArray[np.float64]:
-    """Row j holds functions[j] tabulated at every support node, in a fresh
+    """Row j holds functions[j] tabulated at every support node, in a
     read-only matrix; the functions are read once, so any iterable of them
-    will do."""
+    will do.
+
+    Tabulation is a pure function of the frozen support and functions, so a
+    call with the very objects of the last call (``operator.is_``) returns
+    that call's matrix while something still holds it: the solution a solve
+    builds reads the matrix the solve tabulated.  The matrix is referenced
+    weakly, never kept alive here; any other call tabulates afresh.
+    """
     global _last_table
-    functions = _items(functions, "constraint functions")
-    H = np.empty((len(functions), support.n))
-    for j, f in enumerate(functions):
+    key = (support, *_items(functions, "constraint functions"))
+    if len(_last_table) == len(key) + 1 and all(map(operator.is_, key, _last_table)):
+        H = _last_table[-1]()
+        if H is not None:
+            return H
+    H = np.empty((len(key) - 1, support.n))
+    for j, f in enumerate(key[1:]):
         if not isinstance(f, ConstraintFunction):
             raise ValidationError(f"constraint function {j}: not a ConstraintFunction")
         H[j] = f.tabulate(support)
-    _last_table = (support, *functions, weakref.ref(_frozen(H)))
+    _last_table = (*key, weakref.ref(_frozen(H)))
     return H
 
 
-def _features_and_multipliers(
+def _evaluate(
     support: Support, functions: Sequence[ConstraintFunction], multipliers: ArrayLike
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """The feature matrix, and the multipliers as a vector of integers or
-    floats (see :func:`_real_array`) checked to hold one per row: every map
-    that takes multipliers from a caller checks them here."""
+) -> tuple[NDArray[np.float64], float, NDArray[np.float64], NDArray[np.float64],
+           NDArray[np.float64], NDArray[np.float64]]:
+    """The one evaluation at caller-given multipliers, for a solution and
+    every dual map: the multipliers as a vector of integers or floats (see
+    :func:`_real_array`) checked to hold one per function, log Z, the
+    density p (:func:`_exponential_form`), the feature matrix, the node
+    masses w*p and the moments E[h]."""
     lam = _real_array(multipliers, "multipliers must be real numbers")
     H = _feature_matrix(support, functions)
     if lam.shape != (H.shape[0],):
         raise ValidationError("one multiplier per constraint function is required")
-    return H, lam
+    log_z, p = _exponential_form(H, support.weights, lam)
+    wp = support.weights * p
+    return lam, log_z, p, H, wp, wp @ H.T
 
 
 def validate_problem(
@@ -686,8 +709,10 @@ class MaxEntSolution:
     read-only (a writeable array is copied).  The constraints are checked by
     :func:`validate_problem` and stored as its tuple.
 
-    Construction derives the rest from one evaluation by the solver's rule
-    (:func:`_exponential_form`): the read-only ``density``
+    Construction derives the rest from one evaluation at the multipliers,
+    by the solver's rule (:func:`_exponential_form`) on the feature matrix
+    of :func:`_feature_matrix`, which in a solve is the matrix the solve
+    tabulated: the read-only ``density``
     exp(-log_partition - sum_j m_j h_j(x_i)) at every node, ``log_partition``
     (log Z), ``entropy`` (in nats, by :func:`differential_entropy` or
     :func:`discrete_entropy`), ``residuals`` (each moment's signed distance
@@ -697,51 +722,29 @@ class MaxEntSolution:
     that underflows to zero at some node raises InfeasibleError; a total
     mass (sum for discrete, quadrature for continuous) off 1 by more than
     1e-12 (discrete) or 1e-10 (continuous) raises ValidationError.
-
-    ``features`` spares the tabulation of the constraint functions at the
-    nodes when it is the matrix the solve just tabulated for them: the
-    solver passes the matrix it solved on, so a solve tabulates each
-    constraint once.  A matrix without one row per constraint and one column
-    per node raises ValidationError; any other matrix is not taken on trust,
-    and the constraints are tabulated afresh.  The matrix is not kept, so
-    ``dataclasses.replace`` tabulates afresh.
     """
 
     support: Support
     constraints: tuple[ConstraintSpec, ...]
     multipliers: NDArray[np.float64]
     diagnostics: SolverDiagnostics
-    features: InitVar[NDArray[np.float64] | None] = None
     density: NDArray[np.float64] = field(init=False)
     log_partition: float = field(init=False)
     entropy: float = field(init=False)
     residuals: tuple[float, ...] = field(init=False)
     active_bounds: tuple[str, ...] = field(init=False)
 
-    def __post_init__(self, features: NDArray[np.float64] | None) -> None:
+    def __post_init__(self) -> None:
         from .entropy import differential_entropy, discrete_entropy  # imports core
 
         support, specs = self.support, validate_problem(self.support, self.constraints)
-        message = "multipliers must be real numbers"
-        lam = _readonly(_real_array(self.multipliers, message))
+        lam = _readonly(_real_array(self.multipliers, "multipliers must be real numbers"))
         object.__setattr__(self, "constraints", specs)
         object.__setattr__(self, "multipliers", lam)
-        n, m = support.n, len(specs)
-        if lam.shape != (m,):
-            raise ValidationError("solution needs one multiplier per constraint")
+        # Checked before the evaluation, so that no NaN or inf reaches the kernel.
         if not np.isfinite(lam).all():
             raise ValidationError("solution multipliers must be finite")
-        if features is not None and np.shape(features) != (m, n):
-            raise ValidationError(
-                "solution features need one row per constraint and one column "
-                "per node"
-            )
-        functions, last = tuple(s.function for s in specs), _last_table
-        trusted = (features is not None and len(last) == m + 2
-                   and last[-1]() is features
-                   and all(map(operator.is_, (support, *functions), last)))
-        H = features if trusted else _feature_matrix(support, functions)
-        log_z, p = _exponential_form(H, support.weights, lam)
+        _, log_z, p, _, _, moments = _evaluate(support, [s.function for s in specs], lam)
         if not (p > 0.0).all():
             raise InfeasibleError(_UNDERFLOW)
         mass = support.integrate(p)
@@ -751,8 +754,7 @@ class MaxEntSolution:
         entropy = (differential_entropy(p, support) if support.is_continuous
                    else discrete_entropy(p))
         residuals, labels = [], []
-        moments = ((support.weights * p) @ H.T).tolist()
-        for spec, x, sign in zip(specs, moments, lam.tolist()):
+        for spec, x, sign in zip(specs, moments.tolist(), lam.tolist()):
             # The moment's distance to its bracket; an equality's miss.
             lo, hi = (spec.equals, spec.equals) if spec.is_equality else spec.bounds
             residuals.append(x - min(max(x, lo), hi))
@@ -771,11 +773,10 @@ def exponential_density(
     multipliers: NDArray[np.float64],
 ) -> NDArray[np.float64]:
     """Density exp(-log Z - sum_j m_j h_j(x)) at the support nodes, the
-    constraints checked and tabulated afresh, by the solver's rule
-    (:func:`_exponential_form`): a solution rebuilds bit for bit."""
+    constraints checked, by the evaluation a solution is built from
+    (:func:`_evaluate`): a solution rebuilds bit for bit."""
     functions = [s.function for s in validate_problem(support, constraints)]
-    H, lam = _features_and_multipliers(support, functions, multipliers)
-    return _exponential_form(H, support.weights, lam)[1]
+    return _evaluate(support, functions, multipliers)[2]
 
 
 def _exponential_form(

@@ -13,7 +13,9 @@ whose gradient is b - E_m[h] and whose Hessian is the covariance matrix of
 the h_j under p.
 
 Newton, the dual maps and each solve take log Z and the density from one
-function, :func:`~maxentutil.core._exponential_form`, by one rounding rule.
+function, :func:`~maxentutil.core._exponential_form`, by one rounding rule;
+the dual maps and each solution evaluate it at given multipliers through
+one more, :func:`~maxentutil.core._evaluate`.
 
 There is one solve path, and it also takes interval targets
 lo <= E[h] <= hi.  Their dual is one convex function,
@@ -53,11 +55,13 @@ Nodes with equal feature columns have equal density, so Newton runs on
 atoms: each run of equal adjacent columns becomes one column carrying the
 run's summed weight (an assessed utility on 8192 nodes has K+1 atoms, one
 per cell between its K points).  The solve then hands Newton's multipliers
-and the full-grid feature matrix to :class:`~maxentutil.core.MaxEntSolution`,
-which evaluates log Z, the density, the entropy, the residuals and the
-bracket labels on the full grid, once; the solve then checks the interval
-residuals against tol.  A density that loses its mass to rounding is thus
-named (ValidationError) before an interval it misses.
+to :class:`~maxentutil.core.MaxEntSolution`, which evaluates log Z, the
+density, the entropy, the residuals and the bracket labels on the full grid,
+once, by the evaluation the dual maps share; its feature matrix is the one
+the solve tabulated, which ``core._feature_matrix`` returns again while the
+solve holds it.  The solve then checks the interval residuals against tol.
+A density that loses its mass to rounding is thus named (ValidationError)
+before an interval it misses.
 
 A determined problem, m equality rows on m + 1 merged atoms (K assessed
 points, or indicators cutting a discrete support into m + 1 runs), has one
@@ -90,8 +94,8 @@ from .core import (
     ValidationError,
     _UNDERFLOW,
     _exponential_form,
+    _evaluate,
     _feature_matrix,
-    _features_and_multipliers,
     _finite,
     _integer,
     validate_problem,
@@ -185,20 +189,6 @@ def _equality_targets(constraints: Sequence[ConstraintSpec]) -> NDArray[np.float
     return np.array([spec.equals for spec in constraints], dtype=np.float64)
 
 
-def _dual(
-    support: Support,
-    functions: Sequence[ConstraintFunction],
-    multipliers: Sequence[float] | NDArray[np.float64],
-) -> tuple[NDArray[np.float64], float, NDArray[np.float64], NDArray[np.float64],
-           NDArray[np.float64]]:
-    """The dual maps' one evaluation: the checked multipliers, log Z, the
-    feature matrix, node masses w*p and moments E[h] at the multipliers."""
-    H, lam = _features_and_multipliers(support, functions, multipliers)
-    lz, p = _exponential_form(H, support.weights, lam)
-    wp = support.weights * p
-    return lam, lz, H, wp, wp @ H.T
-
-
 def log_partition(
     support: Support,
     functions: Sequence[ConstraintFunction],
@@ -206,7 +196,7 @@ def log_partition(
 ) -> float:
     """log of Z(m) = sum_i w_i exp(-sum_j m_j h_j(x_i)), with a max-shift so
     that exponents as large as several hundred in magnitude do not overflow."""
-    return _dual(support, functions, multipliers)[1]
+    return _evaluate(support, functions, multipliers)[1]
 
 
 def dual_value(
@@ -216,7 +206,7 @@ def dual_value(
 ) -> float:
     """D(m) = log Z(m) + m . b for equality constraints."""
     specs = validate_problem(support, constraints)
-    lam, lz, *_ = _dual(support, [s.function for s in specs], multipliers)
+    lam, lz, *_ = _evaluate(support, [s.function for s in specs], multipliers)
     return lz + float(lam @ _equality_targets(specs))
 
 
@@ -228,7 +218,7 @@ def dual_gradient(
     """Gradient of the dual: b - E[h] at the current multipliers."""
     specs = validate_problem(support, constraints)
     b = _equality_targets(specs)
-    return b - _dual(support, [s.function for s in specs], multipliers)[4]
+    return b - _evaluate(support, [s.function for s in specs], multipliers)[5]
 
 
 def dual_hessian(
@@ -238,7 +228,7 @@ def dual_hessian(
 ) -> NDArray[np.float64]:
     """Hessian of the dual: the covariance matrix of the h_j under p."""
     functions = [s.function for s in validate_problem(support, constraints)]
-    return _covariance(*_dual(support, functions, multipliers)[2:])
+    return _covariance(*_evaluate(support, functions, multipliers)[3:])
 
 
 def _bracket_rows(
@@ -517,7 +507,7 @@ def _solve(
     )
 
     solution = MaxEntSolution(
-        support=support, constraints=specs, multipliers=lam, features=H,
+        support=support, constraints=specs, multipliers=lam,
         diagnostics=SolverDiagnostics(
             iterations=iters, grad_max_norm=gnorm, atoms=Ha.shape[1],
             dual_trace=tuple(trace), halvings=halvings, ratio_stops=ratio_stops,

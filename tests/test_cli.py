@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -302,6 +303,34 @@ def test_jointly_unattainable_targets_exit_two(tmp_path, capsys, support_line):
     out, err = capsys.readouterr()
     assert out == ""
     assert "underflow" in err
+
+
+def _solve_quietly(tmp_path, capsys, spec_text):
+    """``main(["solve", spec])`` on the spec: its exit code, stderr and the
+    warnings it raised."""
+    spec = tmp_path / "domain.spec"
+    spec.write_text(spec_text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["solve", str(spec), "--quiet"])
+    return code, capsys.readouterr().err, caught
+
+
+@pytest.mark.parametrize("domain", ["0 1e-310", "-1e308 1e308"])
+def test_a_domain_out_of_floating_point_range_exits_one(tmp_path, capsys, domain):
+    code, err, caught = _solve_quietly(tmp_path, capsys, f"domain = {domain}\nnodes = 64\n")
+    assert code == 1
+    assert err.startswith("error: continuous support [")
+    assert "b - a and 1/(b - a) must be finite and positive" in err
+    assert "Traceback" not in err
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("domain", ["0 1e-300", "-8e307 8e307"])
+def test_a_domain_near_the_floating_point_range_solves(tmp_path, capsys, domain):
+    code, err, caught = _solve_quietly(tmp_path, capsys, f"domain = {domain}\nnodes = 64\n")
+    assert (code, err) == (0, "")
+    assert [str(w.message) for w in caught] == []
 
 
 def test_missing_spec_file_exits_one():

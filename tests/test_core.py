@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -212,6 +213,28 @@ def test_discrete_support_rejects_bad_points(points):
 def test_continuous_support_rejects_bad_bounds(a, b, n):
     with pytest.raises(ValidationError):
         Support.continuous(a, b, n)
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (0.0, 1e-310),  # 1/(b - a) overflows
+        (-1e308, 1e308),  # b - a overflows
+        (2**53, 2**53 + 1),  # a < b as integers, equal as floats
+    ],
+)
+def test_continuous_support_needs_a_width_and_its_inverse_in_float_range(a, b):
+    message = (f"continuous support [{float(a)!r}, {float(b)!r}] is out of floating-point "
+               "range: b - a and 1/(b - a) must be finite and positive")
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        Support.continuous(a, b, 64)
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 1e-300), (-8e307, 8e307)])
+def test_continuous_support_takes_widths_near_the_float_range(a, b):
+    s = Support.continuous(a, b, 64)
+    assert (s.a, s.b) == (a, b)
+    assert np.isfinite(s.nodes).all() and (np.diff(s.nodes) > 0.0).all()
 
 
 @pytest.mark.parametrize("n", [1000.7, 64.0, "64", True, np.bool_(True), None])
@@ -681,6 +704,7 @@ def _mean_solution(multipliers) -> MaxEntSolution:
         (np.array([1.0 + 0.0j]), "multipliers must be real numbers"),
         ([math.nan], "solution multipliers must be finite"),
         ([-math.inf], "solution multipliers must be finite"),
+        ([0.5, 0.5], "one multiplier per constraint function is required"),
     ],
 )
 def test_solution_multipliers_must_be_finite_integers_or_floats(values, message):

@@ -11,9 +11,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from maxentutil.core import ConstraintFunction, ConstraintSpec, Support
+from maxentutil.core import ConstraintFunction, ConstraintSpec, Support, exponential_density
 from maxentutil.risk import risk_aversion_analytic
-from maxentutil.solver import dual_hessian, log_partition, solve_equality, solve_interval
+from maxentutil.solver import (
+    dual_gradient, dual_hessian, log_partition, solve_equality, solve_interval,
+)
 from maxentutil.utility import density_to_curve, maxent_utility_from_assessments
 
 
@@ -47,8 +49,15 @@ def test_solution_paths(kind, monkeypatch):
     assert copy.density.tobytes() == sol.density.tobytes()
 
     functions = [spec.function for spec in sol.constraints]
+    # One evaluation serves the solution and the dual maps: at the
+    # solution's own multipliers they agree with it bit for bit.
     lz = log_partition(sol.support, functions, sol.multipliers)
-    assert lz == pytest.approx(sol.log_partition, abs=1e-12)
+    assert lz == sol.log_partition
+    density = exponential_density(sol.support, sol.constraints, sol.multipliers)
+    assert density.tobytes() == sol.density.tobytes()
+    if all(spec.is_equality for spec in sol.constraints):
+        grad = dual_gradient(sol.support, sol.constraints, sol.multipliers)
+        assert grad.tobytes() == (-np.array(sol.residuals)).tobytes()
     hess = dual_hessian(sol.support, sol.constraints, sol.multipliers)
     assert hess.shape == (len(functions),) * 2
     assert np.linalg.eigvalsh(hess).min() > 0.0

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
@@ -242,39 +243,66 @@ def test_density_matches_a_40_digit_evaluation_of_its_exponential_form():
                 assert float(rel) <= 8.0 * eps * size, (sol.support.kind, i, float(rel))
 
 
-def _solved_fields():
-    """A solved problem's fields and its feature matrix, as the solver hands
-    them to MaxEntSolution."""
-    specs = [_mean_spec(1.2), ConstraintSpec.equality(ConstraintFunction.power(2), 2.5)]
-    sol = solve_equality(Support.continuous(0.0, 5.0, 256), specs)
+def test_a_solution_takes_no_feature_matrix():
+    # A solution is its multipliers: derived data, the feature matrix
+    # included, cannot be passed in.
+    sol = solve_equality(Support.continuous(0.0, 5.0, 256), [_mean_spec(1.2)])
     fields = {f.name: getattr(sol, f.name) for f in dataclasses.fields(sol) if f.init}
-    return fields, _feature_matrix(sol.support, [s.function for s in sol.constraints])
+    assert list(fields) == ["support", "constraints", "multipliers", "diagnostics"]
+    H = _feature_matrix(sol.support, [s.function for s in sol.constraints])
+    with pytest.raises(TypeError, match="features"):
+        MaxEntSolution(**fields, features=H)
 
 
-def test_solution_checks_against_the_passed_feature_matrix():
-    # Only the matrix the solve just tabulated for these constraints is
-    # trusted; any other of the right shape, such as its rows swapped, a
-    # copy, or a matrix tabulated before the last one, is tabulated afresh.
-    fields, H = _solved_fields()
-    fresh = MaxEntSolution(**fields)
-    for given in (np.ascontiguousarray(H[::-1]), H[::-1], H.copy(), H):
-        copy = MaxEntSolution(**fields, features=given)
-        assert copy.log_partition == fresh.log_partition
-        assert copy.residuals == fresh.residuals
-        assert copy.density.tobytes() == fresh.density.tobytes()
+def _counted_tabulate(monkeypatch):
+    """The functions ConstraintFunction.tabulate is called on, in order."""
+    calls, tabulate = [], ConstraintFunction.tabulate
+    monkeypatch.setattr(
+        ConstraintFunction, "tabulate", lambda f, s: calls.append(f) or tabulate(f, s)
+    )
+    return calls
 
 
-@pytest.mark.parametrize("shape", ["transposed", "extra row", "short row", "flat"])
-def test_solution_rejects_a_feature_matrix_of_the_wrong_shape(shape):
-    fields, H = _solved_fields()
-    bad = {
-        "transposed": H.T,
-        "extra row": np.vstack([H, H[:1]]),
-        "short row": H[:, :-1],
-        "flat": H.ravel(),
-    }[shape]
-    with pytest.raises(ValidationError, match="one row per constraint"):
-        MaxEntSolution(**fields, features=bad)
+def test_feature_matrix_returns_the_held_matrix_for_the_same_objects(monkeypatch):
+    support = Support.continuous(0.0, 2.0, 64)
+    functions = [ConstraintFunction.power(1), ConstraintFunction.indicator(0.5, 1.0)]
+    calls = _counted_tabulate(monkeypatch)
+    H = _feature_matrix(support, functions)
+    assert calls == functions
+    # Any iterable of the very same objects, while the caller holds H.
+    assert _feature_matrix(support, iter(functions)) is H
+    assert _feature_matrix(support, tuple(functions)) is H
+    assert calls == functions
+    assert not H.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        H[0, 0] = 1.0
+
+
+def test_feature_matrix_tabulates_afresh_once_dropped_or_for_other_objects(monkeypatch):
+    support = Support.continuous(0.0, 2.0, 64)
+    power, cube = ConstraintFunction.power(1), ConstraintFunction.power(3)
+    want = np.array([support.nodes, support.nodes ** 3])
+    calls = _counted_tabulate(monkeypatch)
+    H = _feature_matrix(support, [power, cube])
+    held = weakref.ref(H)
+    del H
+    # The matrix is not kept alive for the next call.
+    assert held() is None
+    H = _feature_matrix(support, [power, cube])
+    assert calls == [power, cube] * 2
+    assert H.tobytes() == want.tobytes()
+    # Equal but distinct functions, or an equal but distinct support, are
+    # tabulated afresh, each with its own values.
+    equal = ConstraintFunction.power(1)
+    assert equal == power and equal is not power
+    again = _feature_matrix(support, [equal, cube])
+    assert again is not H and again.tobytes() == want.tobytes()
+    assert calls[4:] == [equal, cube]
+    swapped = _feature_matrix(support, [cube, power])
+    assert swapped.tobytes() == want[::-1].tobytes()
+    same_grid = Support.continuous(0.0, 2.0, 64)
+    assert _feature_matrix(same_grid, [cube, power]) is not swapped
+    assert len(calls) == 10
 
 
 def test_solution_keeps_no_feature_matrix_and_replace_retabulates(monkeypatch):

@@ -270,9 +270,11 @@ class Support:
             if not self.a < self.b:
                 raise ValidationError("continuous support requires a < b")
             a, b = float(self.a), float(self.b)
-            # The grid spans b - a and a density on it is near 1/(b - a).
+            # The grid spans b - a, and its uniform density 1/(b - a) has
+            # -p log p = log(b - a)/(b - a), finite only if 1/(b - a) is.
             width = b - a
-            if not (width > 0.0 and math.isfinite(width) and math.isfinite(1.0 / width)):
+            if not (width > 0.0 and math.isfinite(width)
+                    and math.isfinite(math.log(width) / width)):
                 raise ValidationError(
                     f"continuous support [{a!r}, {b!r}] is out of floating-point "
                     "range: b - a and 1/(b - a) must be finite and positive"
@@ -620,9 +622,10 @@ def _feature_matrix(
     weakly, never kept alive here; any other call tabulates afresh.
     """
     global _last_table
-    key = (support, *_items(functions, "constraint functions"))
-    if len(_last_table) == len(key) + 1 and all(map(operator.is_, key, _last_table)):
-        H = _last_table[-1]()
+    # Read once: another thread's call may record its own table meanwhile.
+    key, last = (support, *_items(functions, "constraint functions")), _last_table
+    if len(last) == len(key) + 1 and all(map(operator.is_, key, last)):
+        H = last[-1]()
         if H is not None:
             return H
     H = np.empty((len(key) - 1, support.n))
@@ -639,11 +642,14 @@ def _evaluate(
 ) -> tuple[NDArray[np.float64], float, NDArray[np.float64], NDArray[np.float64],
            NDArray[np.float64], NDArray[np.float64]]:
     """The one evaluation at caller-given multipliers, for a solution and
-    every dual map: the multipliers as a vector of integers or floats (see
-    :func:`_real_array`) checked to hold one per function, log Z, the
+    every dual map, and the one owner of their rule: integers or floats (see
+    :func:`_real_array`), then finite, before the table and the kernel, then
+    one per function.  Returns the multipliers as a vector, log Z, the
     density p (:func:`_exponential_form`), the feature matrix, the node
     masses w*p and the moments E[h]."""
     lam = _real_array(multipliers, "multipliers must be real numbers")
+    if not np.isfinite(lam).all():
+        raise ValidationError("multipliers must be finite")
     H = _feature_matrix(support, functions)
     if lam.shape != (H.shape[0],):
         raise ValidationError("one multiplier per constraint function is required")
@@ -705,9 +711,10 @@ class SolverDiagnostics:
 @dataclass(frozen=True, eq=False)
 class MaxEntSolution:
     """A solved maximum-entropy density in exponential form, given by its
-    multipliers m: one per constraint, finite integers or floats, stored
-    read-only (a writeable array is copied).  The constraints are checked by
-    :func:`validate_problem` and stored as its tuple.
+    multipliers m: one per constraint, finite integers or floats by the rule
+    of :func:`_evaluate`, stored read-only (a writeable array is copied).
+    The constraints are checked by :func:`validate_problem` and stored as
+    its tuple.
 
     Construction derives the rest from one evaluation at the multipliers,
     by the solver's rule (:func:`_exponential_form`) on the feature matrix
@@ -738,13 +745,10 @@ class MaxEntSolution:
         from .entropy import differential_entropy, discrete_entropy  # imports core
 
         support, specs = self.support, validate_problem(self.support, self.constraints)
-        lam = _readonly(_real_array(self.multipliers, "multipliers must be real numbers"))
+        lam, log_z, p, _, _, moments = _evaluate(
+            support, [s.function for s in specs], self.multipliers)
         object.__setattr__(self, "constraints", specs)
-        object.__setattr__(self, "multipliers", lam)
-        # Checked before the evaluation, so that no NaN or inf reaches the kernel.
-        if not np.isfinite(lam).all():
-            raise ValidationError("solution multipliers must be finite")
-        _, log_z, p, _, _, moments = _evaluate(support, [s.function for s in specs], lam)
+        object.__setattr__(self, "multipliers", _readonly(lam))
         if not (p > 0.0).all():
             raise InfeasibleError(_UNDERFLOW)
         mass = support.integrate(p)

@@ -221,6 +221,10 @@ def test_continuous_support_rejects_bad_bounds(a, b, n):
         (0.0, 1e-310),  # 1/(b - a) overflows
         (-1e308, 1e308),  # b - a overflows
         (2**53, 2**53 + 1),  # a < b as integers, equal as floats
+        # 1/(b - a) is finite, but the uniform density's -p log p overflows.
+        (0.0, 3.9e-306),
+        (0.0, 1e-307),
+        (0.0, 6e-309),
     ],
 )
 def test_continuous_support_needs_a_width_and_its_inverse_in_float_range(a, b):
@@ -230,7 +234,7 @@ def test_continuous_support_needs_a_width_and_its_inverse_in_float_range(a, b):
         Support.continuous(a, b, 64)
 
 
-@pytest.mark.parametrize("a,b", [(0.0, 1e-300), (-8e307, 8e307)])
+@pytest.mark.parametrize("a,b", [(0.0, 1e-300), (-8e307, 8e307), (0.0, 4e-306)])
 def test_continuous_support_takes_widths_near_the_float_range(a, b):
     s = Support.continuous(a, b, 64)
     assert (s.a, s.b) == (a, b)
@@ -702,9 +706,10 @@ def _mean_solution(multipliers) -> MaxEntSolution:
         ([True], "multipliers must be real numbers"),
         ([None], "multipliers must be real numbers"),
         (np.array([1.0 + 0.0j]), "multipliers must be real numbers"),
-        ([math.nan], "solution multipliers must be finite"),
-        ([-math.inf], "solution multipliers must be finite"),
+        ([math.nan], "multipliers must be finite"),
+        ([-math.inf], "multipliers must be finite"),
         ([0.5, 0.5], "one multiplier per constraint function is required"),
+        ([math.inf, 0.5], "multipliers must be finite"),  # checked before the count
     ],
 )
 def test_solution_multipliers_must_be_finite_integers_or_floats(values, message):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 import weakref
 
 import numpy as np
@@ -910,6 +911,24 @@ def test_the_dual_maps_take_real_multipliers_only(name, values):
     s = Support.continuous(0.0, 1.0, 64)
     with pytest.raises(ValidationError, match="^multipliers must be real numbers$"):
         DUAL_MAPS[name](s, [_mean_spec(0.5)], values)
+
+
+# Finite, checked before the table and the kernel: no numpy warning, and
+# before the count of multipliers.
+@pytest.mark.parametrize("values", [[math.nan], [math.inf], [-math.inf], [0.5, math.nan]])
+@pytest.mark.parametrize("name", DUAL_MAPS)
+def test_the_dual_maps_take_finite_multipliers_only(name, values):
+    s = Support.continuous(0.0, 1.0, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^multipliers must be finite$"):
+            DUAL_MAPS[name](s, [_mean_spec(0.5)], values)
+
+
+def test_log_partition_checks_the_multipliers_before_the_functions():
+    s = Support.continuous(0.0, 1.0, 64)
+    with pytest.raises(ValidationError, match="^multipliers must be finite$"):
+        log_partition(s, [None], [math.nan])
 
 
 @pytest.mark.parametrize("name", DUAL_MAPS)

@@ -234,7 +234,8 @@ class Support:
         a, b: interval endpoints (continuous only), stored as floats.
         n: number of nodes (grid size, or the number of discrete points);
             an int (numpy integers are stored as int; bools and floats
-            raise ValidationError).
+            raise ValidationError).  A grid's nodes must come out strictly
+            increasing as doubles, which a domain too narrow for n fails.
         points: the discrete points (discrete only): a flat sequence of
             integers or floats, strictly increasing as floats (a tuple
             mixing bools and floats converts), stored as a tuple of floats.
@@ -285,6 +286,15 @@ class Support:
                 )
             object.__setattr__(self, "a", a)
             object.__setattr__(self, "b", b)
+            # On a domain too narrow for n nodes, some nodes round to the
+            # same double (or out of order), and the grid is not a grid.
+            x = self.nodes
+            if not (x[1:] > x[:-1]).all():
+                raise ValidationError(
+                    f"continuous support [{a!r}, {b!r}] is too narrow for "
+                    f"{self.n} nodes: they are not strictly increasing in "
+                    "floating point"
+                )
         else:
             raise ValidationError(f"unknown support kind {self.kind!r}")
 
@@ -406,11 +416,14 @@ class Support:
         return at_nodes, at_edges
 
 
-def _density_on(support: Support, values: ArrayLike) -> NDArray[np.float64]:
+def _density_on(
+    support: Support, values: ArrayLike
+) -> tuple[NDArray[np.float64], float]:
     """``values`` as a density on the support's grid: one finite,
-    non-negative value per node, of mass 1 within 1e-8."""
+    non-negative value per node, of mass 1 within 1e-8; returned with its
+    largest value."""
     p = support._per_node(values, "density values")
-    low, high = p.min(), p.max()  # a NaN anywhere makes both NaN
+    low, high = np.minimum.reduce(p), np.maximum.reduce(p)  # a NaN makes both NaN
     if not (math.isfinite(low) and math.isfinite(high)):
         raise ValidationError("density must be finite")
     if low < 0.0:
@@ -418,7 +431,7 @@ def _density_on(support: Support, values: ArrayLike) -> NDArray[np.float64]:
     mass = support.integrate(p)
     if abs(mass - 1.0) > 1e-8:
         raise ValidationError(f"density integrates to {mass!r}, not 1")
-    return p
+    return p, high
 
 
 @dataclass(frozen=True)
@@ -506,7 +519,10 @@ class ConstraintFunction:
         if self.kind == "power":
             return _power(x, self.degree)
         if self.kind == "indicator":
-            return ((x >= self.lower) & (x <= self.upper)).astype(np.float64)
+            # Nodes ascend, so the nodes in [lower, upper] are one slice.
+            row = np.zeros(len(x))
+            row[x.searchsorted(self.lower, "left"):x.searchsorted(self.upper, "right")] = 1.0
+            return row
         return np.asarray(self.values, dtype=np.float64)
 
     def derivative(self, support: Support) -> NDArray[np.float64]:
@@ -749,7 +765,7 @@ class MaxEntSolution:
             support, [s.function for s in specs], self.multipliers)
         object.__setattr__(self, "constraints", specs)
         object.__setattr__(self, "multipliers", _readonly(lam))
-        if not (p > 0.0).all():
+        if not np.minimum.reduce(p) > 0.0:  # a NaN fails too
             raise InfeasibleError(_UNDERFLOW)
         mass = support.integrate(p)
         tol = MASS_TOL_CONTINUOUS if support.is_continuous else MASS_TOL_DISCRETE
@@ -791,7 +807,7 @@ def _exponential_form(
     exp(e - top) * exp(top - log Z) with top = max e, which cannot overflow
     and carries log Z's rounding, not Z's (the 128-node uniform density is 1)."""
     expo = multipliers @ H  # -e; e - top rounds as min(-e) - (-e), in place
-    low = expo.min()
+    low = np.minimum.reduce(expo)
     shifted = np.exp(np.subtract(low, expo, out=expo), out=expo)
     log_z = float(np.log(w @ shifted) - low)
     return log_z, np.multiply(shifted, math.exp(-low - log_z), out=shifted)

@@ -57,8 +57,11 @@ class EntropyValue:
 def _neg_xlogx(p: NDArray[np.float64]) -> NDArray[np.float64]:
     """-p log p per entry, in one pass: an entry at or below the floor takes
     log 1 and comes out as a zero, -0.0 where p > 0.  Adding -0.0 leaves
-    any value unchanged, so every sum of these equals that of exact zeros."""
-    return -p * np.log(np.where(p > ZERO_MASS_FLOOR, p, 1.0))
+    any value unchanged, so every sum of these equals that of exact zeros.
+    The product and its sign are taken in the log's own buffer: -(log p * p)
+    rounds as (-p) * log p does."""
+    out = np.log(np.where(p > ZERO_MASS_FLOOR, p, 1.0))
+    return np.negative(np.multiply(out, p, out=out), out=out)
 
 
 def _finish(value: float) -> EntropyValue:
@@ -81,10 +84,20 @@ def discrete_entropy(masses: Sequence[float] | NDArray[np.float64]) -> EntropyVa
 def differential_entropy(
     density: NDArray[np.float64], support: Support
 ) -> EntropyValue:
-    """Entropy -integral p log p of a density tabulated on a continuous grid."""
+    """Entropy -integral p log p of a density tabulated on a continuous grid.
+
+    Above p = 1, |p log p| grows with p, so the density's largest value
+    decides whether every -p log p is a finite double; one that is not
+    raises ValidationError naming that value.
+    """
     if not support.is_continuous:
         raise ValidationError("differential entropy needs a continuous support")
-    p = _density_on(support, density)
+    p, high = _density_on(support, density)
+    if high > 1.0 and not math.isfinite(float(high) * float(np.log(high))):
+        raise ValidationError(
+            f"the density's largest value {float(high)!r} is too large: its "
+            "-p log p overflows a double"
+        )
     return _finish(support.integrate(_neg_xlogx(p)))
 
 

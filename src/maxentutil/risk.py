@@ -3,8 +3,9 @@
 For a utility density u(x) the coefficient is gamma(x) = -d/dx ln u(x).
 A solved exponential-form density makes this analytic: the log-density is
 -log Z - sum_j m_j h_j(x), so gamma(x) = sum_j m_j h_j'(x), one additive
-term per constraint.  A numeric route differentiates -ln u directly and is
-kept as an independent check on the analytic one.
+term per constraint; the analytic profile is given those terms and sums
+them into gamma itself.  A numeric route differentiates -ln u directly,
+gives gamma alone, and is kept as an independent check on the analytic one.
 """
 
 from __future__ import annotations
@@ -33,12 +34,14 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class RiskAversionProfile:
-    """gamma at interior nodes, optionally split into per-constraint terms.
+    """gamma at interior nodes, given whole or as per-constraint terms.
 
     ``node_indices`` names the support nodes the profile covers; nodes whose
-    difference stencil would span an indicator jump are left out.  When
-    ``terms`` is present (analytic route), row j is m_j * h_j'(x) and the
-    rows must sum to gamma.
+    difference stencil would span an indicator jump are left out.  A profile
+    takes exactly one of ``gamma`` and ``terms``.  The numeric route gives
+    ``gamma``.  The analytic route gives ``terms``, whose row j is
+    m_j * h_j'(x), and the profile derives ``gamma`` as their column sum,
+    so the two cannot disagree.
 
     Node indices must have an integer dtype (an empty list is float, so an
     empty profile takes an empty integer array); gamma and terms are
@@ -48,26 +51,29 @@ class RiskAversionProfile:
 
     support: Support
     node_indices: NDArray[np.int64]
-    gamma: NDArray[np.float64]
+    gamma: NDArray[np.float64] | None = None
     terms: NDArray[np.float64] | None = None
 
     def __post_init__(self) -> None:
+        if (self.gamma is None) == (self.terms is None):
+            raise ValidationError("profile needs exactly one of gamma or terms")
         message = "profile node indices must be integers"
         idx = _array_of(self.node_indices, "iu", message)
-        g = _real_array(self.gamma, "gamma values must be real numbers")
+        if self.terms is None:
+            g = _real_array(self.gamma, "gamma values must be real numbers")
+        else:
+            t = _readonly(_real_array(self.terms, "terms must be real numbers"))
+            if t.ndim != 2 or t.shape[1] != len(idx):
+                raise ValidationError("terms need one row per constraint and "
+                                      "one column per covered node")
+            object.__setattr__(self, "terms", t)
+            g = _frozen(t.sum(axis=0))
         if idx.shape != g.shape:
             raise ValidationError("profile needs one gamma per covered node")
         if len(idx) and (idx.min() < 0 or idx.max() >= self.support.n):
             raise ValidationError("profile node indices fall outside the support")
         object.__setattr__(self, "node_indices", _readonly(idx, dtype=np.int64))
         object.__setattr__(self, "gamma", _readonly(g))
-        if self.terms is not None:
-            t = _readonly(_real_array(self.terms, "terms must be real numbers"))
-            object.__setattr__(self, "terms", t)
-            if t.ndim != 2 or t.shape[1] != len(g):
-                raise ValidationError("terms need one row per constraint")
-            if np.max(np.abs(t.sum(axis=0) - g), initial=0.0) > 1e-12:
-                raise ValidationError("per-constraint terms must sum to gamma")
 
     @property
     def nodes(self) -> NDArray[np.float64]:
@@ -103,19 +109,17 @@ def risk_aversion_analytic(solution: MaxEntSolution) -> RiskAversionProfile:
     after = np.searchsorted(x, edges, "right")
     for i, j in zip(first.tolist(), after.tolist()):
         keep[max(i - 1, 0) : j + 1] = False
-    idx = np.arange(support.n)[keep]
+    idx = np.flatnonzero(keep)
     terms = np.empty((len(solution.constraints), len(idx)))
     for row, m_j, spec in zip(terms, solution.multipliers, solution.constraints):
         if spec.function.kind == "indicator":
             row.fill(m_j * 0.0)
         else:
             row[:] = m_j * spec.function.derivative(support)[idx]
-    # Frozen, the fresh arrays (terms is K x n) are kept rather than copied.
+    # Frozen, the fresh K x n terms are kept rather than copied; the
+    # profile sums them into gamma.
     return RiskAversionProfile(
-        support=support,
-        node_indices=_frozen(idx),
-        gamma=_frozen(terms.sum(axis=0)),
-        terms=_frozen(terms),
+        support=support, node_indices=_frozen(idx), terms=_frozen(terms),
     )
 
 
@@ -132,5 +136,4 @@ def risk_aversion_numeric(curve: UtilityCurve) -> RiskAversionProfile:
         support=support,
         node_indices=_frozen(np.arange(1, support.n - 1, dtype=np.int64)),
         gamma=gamma,
-        terms=None,
     )

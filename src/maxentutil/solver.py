@@ -283,7 +283,7 @@ def _newton_direction(
     target's side (see :func:`_newton`); None when the Hessian is singular."""
     hess = _covariance(H, wp, mom, rows, work)
     var = hess.diagonal()
-    if not (var > 0.0).all():
+    if not all(v > 0.0 for v in var.tolist()):  # a NaN fails too
         return None
     g_rows = g if rows is None else g[rows]
     # Newton on the Hessian scaled to a unit diagonal: the scaling makes the
@@ -367,8 +367,8 @@ def _newton(
                 rows = kept
         else:
             g = lo - mom
-        gnorm = float(abs(g).max())
-        if it and not p.min() > 0.0:
+        gnorm = float(np.maximum.reduce(abs(g)))
+        if it and not np.minimum.reduce(p) > 0.0:
             raise InfeasibleError(_UNDERFLOW + _newton_state(it, gnorm, lam))
         if gnorm <= tol:
             return lam, it, gnorm, tuple(trace), halvings, ratio_stops
@@ -386,7 +386,8 @@ def _newton(
                     step, stops = _ratio_test(lams, direction.tolist(), bracket)
             trial, bound = lam + (direction if step == 1.0 else step * direction), lo
             if any_bracket:
-                trial[stops] = 0.0
+                if stops:
+                    trial[stops] = 0.0
                 bound = np.where(trial > 0.0, hi, lo)
             lz, p = _exponential_form(H, w, trial)
             value = lz + float(trial @ bound)

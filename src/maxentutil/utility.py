@@ -147,16 +147,16 @@ class UtilityCurve:
         support = self.support
         if not support.is_continuous:
             raise ValidationError("utility curves need a continuous support")
-        u = _density_on(support, self.density)
+        u, _ = _density_on(support, self.density)
         curve, edge_curve = support.cumulative(u)  # fresh arrays: divided in place
         total = edge_curve[-1]
         curve /= total
         edge_curve /= total
         edge_curve[0] = 0.0
         edge_curve[-1] = 1.0
-        if np.diff(curve).min() < -1e-12:
+        if np.minimum.reduce(np.diff(curve)) < -1e-12:
             raise ValidationError("utility curve must be nondecreasing")
-        if curve.min() < -1e-10 or curve.max() > 1.0 + 1e-10:
+        if np.minimum.reduce(curve) < -1e-10 or np.maximum.reduce(curve) > 1.0 + 1e-10:
             raise ValidationError("curve values must lie in [0, 1]")
         object.__setattr__(self, "density", _frozen(u / total))
         object.__setattr__(self, "curve", _frozen(curve))
@@ -338,21 +338,22 @@ def maxent_utility_from_assessments(
         if not (_finite(x) and _finite(v)):
             raise ValidationError(f"assessment {i}: {item!r} is not a pair "
                                   "(point, value) of finite real numbers")
-        pairs.append((x, v))
+        pairs.append((float(x), float(v)))
     if not pairs:
         raise ValidationError("at least one assessment is required")
-    xs, vs = np.array(pairs, dtype=np.float64).T
+    # A few finite floats: plain comparisons cost less than numpy calls.
+    xs, vs = zip(*pairs)
     a, b = support.lower, support.upper
-    if np.any(xs <= a) or np.any(xs >= b):
+    if not all(a < x < b for x in xs):
         raise ValidationError("assessment points must lie strictly inside the support")
-    if np.any(np.diff(xs) <= 0.0):
+    if not all(x < y for x, y in zip(xs, xs[1:])):
         raise ValidationError("assessment points must be strictly increasing")
-    if np.any(vs <= 0.0) or np.any(vs >= 1.0):
+    if not all(0.0 < v < 1.0 for v in vs):
         raise ValidationError("assessed values must lie strictly inside (0, 1)")
-    if np.any(np.diff(vs) <= 0.0):
+    if not all(v < w for v, w in zip(vs, vs[1:])):
         raise ValidationError("assessed values must be strictly increasing")
 
-    refined, snapped = _refined_support(support, xs.tolist())
+    refined, snapped = _refined_support(support, xs)
     specs = [
         ConstraintSpec.equality(ConstraintFunction.indicator(a, edge), value)
         for edge, value in zip(snapped, vs)

@@ -113,9 +113,11 @@ def test_cli_round_trip_reproduces_the_in_process_table(problem):
 # -------------------------------------------------------------- refinement
 
 #: Domains for the refinement rule: ordinary ones, one from -0.0, a wide one,
-#: a narrow one, and one two ulps wide, whose doubled grids repeat edges.
+#: a narrow one, and the narrowest from 1 by powers of two whose every level
+#: (up to 16 383 nodes) is a strictly increasing grid: at 2**-34 wide, some
+#: level's nodes collapse and its support is rejected.
 REFINE_DOMAINS = [(0.0, 1.0), (-1.0, 2.0), (-0.0, 5.0), (-1e6, 3.0),
-                  (1e-3, 1e-3 + 1e-9), (1.0, 1.0000000000000004)]
+                  (1e-3, 1e-3 + 1e-9), (1.0, 1.0 + 2.0**-33)]
 REFINE_NODES = [16, 100, 128, 1000, 1024, 5000, 8192]
 
 

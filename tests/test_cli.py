@@ -328,6 +328,27 @@ def test_a_domain_out_of_floating_point_range_exits_one(tmp_path, capsys, domain
     assert [str(w.message) for w in caught] == []
 
 
+def test_a_domain_too_narrow_for_its_nodes_exits_one(tmp_path, capsys):
+    # All 64 nodes round to 5.0: the table would repeat x = 5.
+    code, err, caught = _solve_quietly(
+        tmp_path, capsys, "domain = 5 5.000000000000001\nnodes = 64\n")
+    assert code == 1
+    assert err == ("error: continuous support [5.0, 5.000000000000001] is too narrow "
+                   "for 64 nodes: they are not strictly increasing in floating point\n")
+    assert [str(w.message) for w in caught] == []
+
+
+def test_a_density_whose_neg_p_log_p_overflows_exits_one(tmp_path, capsys):
+    # 1/(b - a) is finite, but the solved density reaches about 8e305.
+    code, err, caught = _solve_quietly(
+        tmp_path, capsys,
+        "domain = 0 1e-304\nnodes = 64\nconstraint = indicator 0 1e-306 eq 0.99\n")
+    assert code == 1
+    assert err.startswith("error: the density's largest value ")
+    assert err.endswith(" is too large: its -p log p overflows a double\n")
+    assert [str(w.message) for w in caught] == []
+
+
 @pytest.mark.parametrize("domain", ["0 1e-300", "-8e307 8e307", "0 4e-306"])
 def test_a_domain_near_the_floating_point_range_solves(tmp_path, capsys, domain):
     code, err, caught = _solve_quietly(tmp_path, capsys, f"domain = {domain}\nnodes = 64\n")

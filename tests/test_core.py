@@ -1,9 +1,11 @@
 import math
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from maxentutil import core
 from maxentutil.core import (
@@ -241,6 +243,27 @@ def test_continuous_support_takes_widths_near_the_float_range(a, b):
     assert np.isfinite(s.nodes).all() and (np.diff(s.nodes) > 0.0).all()
 
 
+@pytest.mark.parametrize(
+    "a,b,n",
+    [
+        (5.0, 5.000000000000001, 64),  # every node rounds to 5.0
+        (1.0, 1.0000000000000004, 16),  # two ulps wide
+        (1.0, 1.0 + 2.0**-40, 200),  # wide enough for 128 nodes, not for 200
+        (1e6, 1e6 + 1e-6, 8192),
+    ],
+)
+def test_continuous_support_needs_strictly_increasing_nodes(a, b, n):
+    message = (f"continuous support [{a!r}, {b!r}] is too narrow for {n} nodes: "
+               "they are not strictly increasing in floating point")
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        Support.continuous(a, b, n)
+
+
+def test_the_narrowest_valid_grids_strictly_increase():
+    for a, b, n in [(1.0, 1.0 + 2.0**-40, 128), (1.0, 1.0 + 2.0**-33, 8192)]:
+        assert (np.diff(Support.continuous(a, b, n).nodes) > 0.0).all()
+
+
 @pytest.mark.parametrize("n", [1000.7, 64.0, "64", True, np.bool_(True), None])
 def test_support_node_count_must_be_an_integer(n):
     with pytest.raises(ValidationError, match="node count must be an integer"):
@@ -424,6 +447,44 @@ def test_indicator_tabulates_and_masks():
     assert mask.any()
     inside = (s.nodes > 0.3) & (s.nodes < 0.7)
     assert not mask[inside].any()
+
+
+@st.composite
+def sorted_nodes_and_edges(draw):
+    """Ascending node arrays, ties included, and indicator edges on nodes,
+    between them, outside them and at +-0.0."""
+    if draw(st.booleans()):
+        # A collapsed grid: reference nodes mapped onto a domain a few ulps
+        # wide, so runs of them round to one double.
+        mid = draw(st.sampled_from([-0.0, 0.0, 1.0, 5.0, -3.0]))
+        xi = _reference_rule(draw(st.integers(2, 32)))[0]
+        x = mid + draw(st.sampled_from([1e-15, 4e-16, 1e-300, 0.0])) * xi
+    else:
+        pool = draw(st.lists(st.floats(-10.0, 10.0, width=32), min_size=1, max_size=8))
+        x = np.sort(np.array(draw(st.lists(st.sampled_from(pool + [-0.0, 0.0]),
+                                           min_size=1, max_size=40))))
+    assert (np.diff(x) >= 0.0).all()
+    i = draw(st.integers(0, len(x) - 1))
+    candidates = [
+        x[i], x[-1], x[0], 0.5 * (x[i] + x[min(i + 1, len(x) - 1)]),
+        x[0] - 1.0, x[-1] + 1.0, -0.0, 0.0,
+        np.nextafter(x[i], -np.inf), np.nextafter(x[i], np.inf),
+    ]
+    lo, hi = sorted(draw(st.lists(st.sampled_from(candidates), min_size=2, max_size=2,
+                                  unique_by=float)))
+    assume(lo < hi)
+    return x, float(lo), float(hi)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(sorted_nodes_and_edges())
+def test_indicator_rows_equal_the_two_comparisons_byte_for_byte(problem):
+    x, lo, hi = problem
+    # tabulate reads the nodes and checks the edges against the bounds only.
+    support = SimpleNamespace(nodes=x, lower=min(lo, x[0]), upper=max(hi, x[-1]))
+    row = ConstraintFunction.indicator(lo, hi).tabulate(support)
+    assert row.dtype == np.float64 and row.flags.writeable
+    assert row.tobytes() == ((x >= lo) & (x <= hi)).astype(np.float64).tobytes()
 
 
 def test_power_rejects_bad_degree():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -251,3 +252,29 @@ def test_entropy_value_rejects_unknown_base():
     ):
         with pytest.raises(ValidationError, match="entropy base must be one of"):
             convert()
+
+
+@pytest.mark.parametrize("b,n", [(1e-304, 64), (4e-306, 64)])
+def test_an_overflowing_neg_p_log_p_is_named_without_a_warning(b, n):
+    # Almost all the mass on the first 1e-306 of the domain: the density
+    # there is near (b / 1e-306) / b, above 1e305, and its -p log p
+    # overflows.  Only the largest value is tested, so no warning is raised.
+    support = Support.continuous(0.0, b, n)
+    p = np.where(support.nodes < 1e-306, 1.0, 1e-3)
+    p /= support.integrate(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as info:
+            differential_entropy(p, support)
+    assert str(info.value) == (f"the density's largest value {float(p.max())!r} is too "
+                               "large: its -p log p overflows a double")
+
+
+def test_a_density_just_below_the_overflow_has_a_finite_entropy():
+    # The uniform density on the narrowest domain the width rule takes: its
+    # -p log p is finite, and so is the entropy.
+    support = Support.continuous(0.0, 4e-306, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = differential_entropy(np.full(64, 1.0 / 4e-306), support).value
+    assert h == pytest.approx(math.log(4e-306), rel=1e-12)

@@ -260,8 +260,8 @@ def test_numeric_rejects_zero_density_nodes():
         (dict(node_indices=[[1], 2]), "profile node indices must be integers"),
         (dict(gamma=["0.5", "0.1"]), "gamma values must be real numbers"),
         (dict(gamma=[True, False]), "gamma values must be real numbers"),
-        (dict(terms=[["0.5", "0.1"]]), "terms must be real numbers"),
-        (dict(terms=np.array([[True, False]])), "terms must be real numbers"),
+        (dict(gamma=None, terms=[["0.5", "0.1"]]), "terms must be real numbers"),
+        (dict(gamma=None, terms=np.array([[True, False]])), "terms must be real numbers"),
     ],
 )
 def test_profile_takes_integer_indices_and_real_values_only(fields, message):
@@ -281,14 +281,42 @@ def test_profile_takes_any_integer_indices(dtype):
 
 
 def test_profile_copies_the_callers_arrays():
+    s = Support.continuous(0.0, 1.0, 64)
     idx, g, t = np.array([1, 2]), np.array([0.5, 0.1]), np.array([[0.5, 0.1]])
-    p = RiskAversionProfile(support=Support.continuous(0.0, 1.0, 64),
-                            node_indices=idx, gamma=g, terms=t)
+    given = RiskAversionProfile(support=s, node_indices=idx, gamma=g)
+    summed = RiskAversionProfile(support=s, node_indices=idx, terms=t)
     assert idx.flags.writeable and g.flags.writeable and t.flags.writeable
     idx[0], g[0], t[0, 0] = 3, 9.0, 9.0
-    assert p.node_indices.tolist() == [1, 2]
-    assert p.gamma.tolist() == [0.5, 0.1]
-    assert p.terms.tolist() == [[0.5, 0.1]]
+    assert given.node_indices.tolist() == summed.node_indices.tolist() == [1, 2]
+    assert given.gamma.tolist() == summed.gamma.tolist() == [0.5, 0.1]
+    assert summed.terms.tolist() == [[0.5, 0.1]]
+
+
+@pytest.mark.parametrize("terms", [
+    np.array([[0.5, -0.25, 3.0], [1e-17, 0.25, -0.0], [0.1, 0.2, -0.0]]),
+    np.array([[-0.0, -0.0, -0.0]]),
+    np.empty((0, 3)),
+])
+def test_a_profile_of_terms_derives_gamma_as_their_column_sum(terms):
+    p = RiskAversionProfile(support=Support.continuous(0.0, 1.0, 64),
+                            node_indices=np.array([1, 2, 3]), terms=terms)
+    # Byte for byte, the sign of every zero included.
+    assert p.gamma.tobytes() == terms.sum(axis=0).tobytes()
+    assert not p.gamma.flags.writeable and not p.terms.flags.writeable
+    with pytest.raises(ValueError):
+        p.gamma[0] = 1.0
+
+
+@pytest.mark.parametrize("fields", [
+    dict(gamma=[0.5, 0.1], terms=[[0.5, 0.1]]),
+    dict(gamma=None, terms=None),
+    dict(),
+])
+def test_a_profile_takes_exactly_one_of_gamma_and_terms(fields):
+    with pytest.raises(ValidationError,
+                       match="^profile needs exactly one of gamma or terms$"):
+        RiskAversionProfile(support=Support.continuous(0.0, 1.0, 64),
+                            node_indices=[1, 2], **fields)
 
 
 def test_profile_validates_its_own_shape():
@@ -299,12 +327,11 @@ def test_profile_validates_its_own_shape():
             node_indices=np.array([1, 2, 3]),
             gamma=np.array([0.0, 0.0]),
         )
-    with pytest.raises(ValidationError, match="sum"):
+    with pytest.raises(ValidationError, match="one row per constraint"):
         RiskAversionProfile(
             support=s,
             node_indices=np.array([1, 2]),
-            gamma=np.array([1.0, 1.0]),
-            terms=np.array([[0.0, 0.0]]),
+            terms=np.array([[0.0, 0.0, 0.0]]),
         )
     with pytest.raises(ValidationError):
         RiskAversionProfile(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -698,3 +699,14 @@ def test_curve_knots_are_exact_at_panel_edges():
     density = np.where(s.nodes <= mid, 1.6, 0.4)
     curve = density_to_curve(density, s)
     assert curve.evaluate(mid) == pytest.approx(1.6 * mid, abs=1e-13)
+
+
+def test_refinement_into_a_grid_too_narrow_for_its_nodes_names_the_domain():
+    # 128 and 256 nodes fit on this domain, and 512 do not: the point lies
+    # off those grids' panel edges, so refining it fails at 512 nodes.
+    b = 1.0 + 2.0**-40
+    s = Support.continuous(1.0, b, 128)
+    message = (f"continuous support [1.0, {b!r}] is too narrow for 512 nodes: "
+               "they are not strictly increasing in floating point")
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        maxent_utility_from_assessments(s, [(1.0 + 2.0**-40 / 3.0, 0.5)])

@@ -5,17 +5,59 @@ distribution consistent with them; do the same with a utility function's
 increments and get back the least-committed preferences consistent with a
 decision maker's answers.
 
-The package exports what each module's ``__all__`` declares.
+The package exports what each module's ``__all__`` declares.  Importing it
+loads :mod:`~maxentutil.core` (and numpy), which every caller needs; each
+other module loads the first time one of its names, or the module itself,
+is asked for, and then binds its whole ``__all__`` here.
 """
 
-from . import core, entropy, risk, solver, utility
+import sys as _sys
+from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
+
+from . import core
 from .core import *
-from .entropy import *
-from .risk import *
-from .solver import *
-from .utility import *
 
 __version__ = "0.1.0"
 
-__all__ = [*core.__all__, *entropy.__all__, *risk.__all__, *solver.__all__,
-           *utility.__all__, "__version__"]
+# The order __getattr__ loads them in, solver first because every solve needs
+# it; each imports only core and the modules before it.
+_LAZY = ("solver", "entropy", "utility", "risk")
+
+
+class _Package(_ModuleType):
+    """The package module.  When the import system binds a lazy module here,
+    whichever import loaded it (another module's ``from .entropy import ...``
+    included), this binds the module's ``__all__`` too: once, as it loads,
+    before any caller can have replaced one of those names in it."""
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if name in _LAZY:
+            for attr in value.__all__:
+                super().__setattr__(attr, getattr(value, attr))
+
+
+_sys.modules[__name__].__class__ = _Package
+
+
+def __getattr__(name):
+    """Load the lazy modules in turn until one binds ``name``; ``__all__``
+    loads them all."""
+    if name in _LAZY:
+        return _import_module(f".{name}", __name__)
+    for module in _LAZY:
+        _import_module(f".{module}", __name__)
+        if name in globals():
+            return globals()[name]
+    if name == "__all__":
+        global __all__
+        __all__ = [*core.__all__,
+                   *(n for m in _LAZY for n in globals()[m].__all__), "__version__"]
+        return __all__
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    __getattr__("__all__")  # loads every module, which binds every name
+    return sorted(globals())

@@ -11,10 +11,10 @@ Continuous supports discretize `[a, b]` once, at construction, with a
 composite Gauss-Legendre rule (panels of up to 32 nodes).  Every downstream
 integral, including the cumulative integrals used for utility curves, is
 taken against this grid, so results are deterministic for a given support
-on one numpy/BLAS build.  Across builds the nodes (from numpy's LAPACK-backed
-`leggauss`), the BLAS reductions and numpy's `pow` may differ in the last
-bits; the CLI's output contract (see :mod:`maxentutil.cli`) holds such drift
-within rel 1e-12 / abs 1e-14.
+on one numpy/BLAS build.  Across builds the nodes (from a LAPACK eigenvalue
+solve, as in numpy's `leggauss`), the BLAS reductions and numpy's `pow` may
+differ in the last bits; the CLI's output contract (see :mod:`maxentutil.cli`)
+holds such drift within rel 1e-12 / abs 1e-14.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from functools import lru_cache, cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legvander
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike, NDArray
@@ -198,10 +197,47 @@ def _panel_sizes(n: int) -> tuple[int, ...]:
     return (base + 1,) * extra + (base,) * (k - extra)
 
 
+def _legendre_series(x: NDArray[np.float64], c: Sequence[float]) -> NDArray[np.float64]:
+    """The Legendre series with coefficients ``c`` (lowest degree first) at
+    ``x``, by Clenshaw's recurrence with numpy's ``legval`` arithmetic."""
+    c0, c1 = (c[0], 0.0) if len(c) == 1 else (c[-2], c[-1])
+    nd = len(c)
+    for i in range(3, len(c) + 1):
+        nd -= 1
+        c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=None)
 def _reference_rule(q: int) -> tuple[NDArray, NDArray]:
-    xi, w = leggauss(q)
-    return _frozen(xi), _frozen(w)
+    """The q-node Gauss-Legendre rule on [-1, 1]: nodes and weights, bit for
+    bit those of numpy's ``leggauss``, whose arithmetic this repeats step for
+    step (Golub & Welsch 1969).
+
+    The nodes start as the eigenvalues of P_q's symmetric companion (Jacobi)
+    matrix and take one Newton step on P_q.  The weights are 1/(P_{q-1} P_q')
+    at the nodes, each factor scaled by its largest magnitude; nodes and
+    weights are then symmetrized, and the weights scaled to sum to 2.
+    """
+    unit = [0.0] * q + [1.0]  # P_q's coefficients; unit[1:] are P_{q-1}'s
+    # P_q' = sum of (2k + 1) P_k over k = q-1, q-3, ...
+    slope = [2.0 * k + 1.0 if (q - 1 - k) % 2 == 0 else 0.0 for k in range(q)]
+    scale = 1.0 / np.sqrt(2 * np.arange(q) + 1)
+    off_diagonal = np.arange(1, q) * scale[:-1] * scale[1:]
+    jacobi = np.zeros((q, q))
+    jacobi.flat[1::q + 1] = off_diagonal
+    jacobi.flat[q::q + 1] = off_diagonal
+    x = np.linalg.eigvalsh(jacobi)
+    df = _legendre_series(x, slope)
+    x -= _legendre_series(x, unit) / df
+    fm = _legendre_series(x, unit[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return _frozen(x), _frozen(w)
 
 
 @lru_cache(maxsize=None)
@@ -214,14 +250,20 @@ def _partial_integration_matrix(q: int) -> NDArray[np.float64]:
     densities exact as well.
     """
     xi, w = _reference_rule(q)
-    V = legvander(xi, q)  # columns are P_0 .. P_q evaluated at the nodes
+    # Row i is P_i at the nodes, by the forward three-term recurrence (the
+    # arithmetic of numpy's ``legvander``).
+    P = np.empty((q + 1, q))
+    P[0] = 1.0
+    P[1] = xi
+    for i in range(2, q + 1):
+        P[i] = (P[i - 1] * xi * (2 * i - 1) - P[i - 2] * (i - 1)) / i
     k = np.arange(q)
     # Discrete Legendre transform: f at the nodes -> expansion coefficients.
-    to_coef = ((2.0 * k + 1.0) / 2.0)[:, None] * (V[:, :q].T * w)
+    to_coef = ((2.0 * k + 1.0) / 2.0)[:, None] * (P[:q] * w)
     J = np.empty((q, q))
     J[:, 0] = xi + 1.0
     for j in range(1, q):
-        J[:, j] = (V[:, j + 1] - V[:, j - 1]) / (2.0 * j + 1.0)
+        J[:, j] = (P[j + 1] - P[j - 1]) / (2.0 * j + 1.0)
     return _frozen(J @ to_coef)
 
 
@@ -376,6 +418,13 @@ class Support:
             for q, p, _ in self._panel_groups
         ]))
 
+    @cached_property
+    def _outermost_node(self) -> float:
+        """The node of largest magnitude (nodes ascend: the first or the
+        last), as a Python float: a power row overflows where it does."""
+        x = self.nodes
+        return max(x.item(0), x.item(-1), key=abs)
+
     def _per_node(self, values: ArrayLike, noun: str = "values") -> NDArray[np.float64]:
         """``values`` as a float array of real numbers (see
         :func:`_real_array`), checked to hold one value per node; ``noun``
@@ -512,11 +561,20 @@ class ConstraintFunction:
         Powers are computed as |x|**degree with the sign put back for odd
         degrees (:func:`_power`): numpy's ``pow`` is slow on negative bases,
         and this matches ``x ** degree`` bit for bit on non-negative nodes
-        and within 1 ulp on negative ones.
+        and within 1 ulp on negative ones.  A power that overflows a double
+        at the node of largest magnitude raises ValidationError naming the
+        degree and that node.
         """
         self.validate_on(support)
         x = support.nodes
         if self.kind == "power":
+            node = support._outermost_node
+            try:
+                node ** self.degree  # a Python float raises where numpy warns
+            except OverflowError:
+                raise ValidationError(
+                    f"power {self.degree} overflows a double at the node {node!r}"
+                ) from None
             return _power(x, self.degree)
         if self.kind == "indicator":
             # Nodes ascend, so the nodes in [lower, upper] are one slice.

@@ -349,6 +349,20 @@ def test_a_density_whose_neg_p_log_p_overflows_exits_one(tmp_path, capsys):
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize("support, constraint", [
+    ("domain = 0 1e40\nnodes = 64", "power 8 eq 1e300"),
+    ("points = 0 1e40 2e40", "power 8 eq 1e300"),
+    ("domain = -1e40 0\nnodes = 64", "power 9 in -1e300 -1e290"),
+], ids=["[0, 1e40]", "points to 2e40", "[-1e40, 0]"])
+def test_a_power_row_that_overflows_exits_one(tmp_path, capsys, support, constraint):
+    code, err, caught = _solve_quietly(
+        tmp_path, capsys, f"{support}\nconstraint = {constraint}\n")
+    assert code == 1
+    degree = constraint.split()[1]
+    assert err.startswith(f"error: power {degree} overflows a double at the node ")
+    assert [str(w.message) for w in caught] == []
+
+
 @pytest.mark.parametrize("domain", ["0 1e-300", "-8e307 8e307", "0 4e-306"])
 def test_a_domain_near_the_floating_point_range_solves(tmp_path, capsys, domain):
     code, err, caught = _solve_quietly(tmp_path, capsys, f"domain = {domain}\nnodes = 64\n")

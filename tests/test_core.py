@@ -95,6 +95,25 @@ def test_grid_matches_a_panel_by_panel_loop(a, b, n):
     assert np.array_equal(s.weights, np.concatenate(ref_weights))
 
 
+@pytest.mark.parametrize("q", range(1, 65))
+def test_the_reference_rule_is_numpys_bit_for_bit(q):
+    # numpy.polynomial is imported here only, as the reference.
+    from numpy.polynomial.legendre import leggauss, legvander
+
+    xi, w = leggauss(q)
+    nodes, weights = _reference_rule(q)
+    assert np.array_equal(nodes, xi) and np.array_equal(weights, w)
+    # The matrix as built from legvander's columns P_0 .. P_q.
+    V = legvander(xi, q)
+    k = np.arange(q)
+    to_coef = ((2.0 * k + 1.0) / 2.0)[:, None] * (V[:, :q].T * w)
+    J = np.empty((q, q))
+    J[:, 0] = xi + 1.0
+    for j in range(1, q):
+        J[:, j] = (V[:, j + 1] - V[:, j - 1]) / (2.0 * j + 1.0)
+    assert np.array_equal(_partial_integration_matrix(q), J @ to_coef)
+
+
 @pytest.mark.parametrize("n", [16, 100, 1000, 8192])
 def test_cumulative_matches_a_panel_by_panel_loop(n):
     # Reference: integrate each panel on its own and carry the running sum.
@@ -586,6 +605,25 @@ def test_power_rows_are_bit_identical_to_the_signed_rule(support, d):
     assert got.flags.writeable and not np.shares_memory(got, x)
     if d > 1:
         assert fn.derivative(support).tobytes() == (d * _signed_rule(x, d - 1)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "support, degree, node",
+    [
+        (Support.continuous(0.0, 1e40, 64), 8, "last"),
+        (Support.discrete([0.0, 1e40, 2e40]), 8, "last"),
+        (Support.continuous(-1e40, 0.0, 64), 9, "first"),
+    ],
+    ids=["[0, 1e40]", "points to 2e40", "[-1e40, 0]"],
+)
+def test_a_power_row_that_overflows_is_an_input_error(support, degree, node):
+    x = support.nodes[-1 if node == "last" else 0]
+    with pytest.raises(ValidationError) as info:
+        ConstraintFunction.power(degree).tabulate(support)
+    assert str(info.value) == f"power {degree} overflows a double at the node {float(x)!r}"
+    # Below 1e40**7 = 1e280, the row is finite and the signed rule's.
+    row = ConstraintFunction.power(7).tabulate(support)
+    assert row.tobytes() == _signed_rule(support.nodes, 7).tobytes()
 
 
 def test_first_power_row_is_a_fresh_writable_array():

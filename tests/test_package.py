@@ -1,4 +1,5 @@
-"""The package's API is the union of its library modules' ``__all__``."""
+"""The package's API is the union of its library modules' ``__all__``,
+loaded module by module on first use."""
 
 import pytest
 
@@ -27,3 +28,51 @@ def test_importing_the_package_leaves_the_cli_out():
     res = run_python("import sys, maxentutil; print('maxentutil.cli' in sys.modules)")
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def test_a_continuous_solve_loads_neither_utility_nor_risk():
+    res = run_python(
+        "import sys, maxentutil as mx\n"
+        "power = mx.ConstraintFunction.power(1)\n"
+        "mx.solve_equality(mx.Support.continuous(0.0, 1.0, 64),\n"
+        "                  [mx.ConstraintSpec.equality(power, 0.3)])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')\n"
+        "             or m in ('maxentutil.utility', 'maxentutil.risk', 'maxentutil.cli')))\n"
+        "assess = mx.maxent_utility_from_assessments\n"
+        "print('maxentutil.utility' in sys.modules,\n"
+        "      assess is sys.modules['maxentutil.utility'].maxent_utility_from_assessments)\n"
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["[]", "True True"]
+
+
+def test_a_star_import_binds_exactly_the_package_exports():
+    res = run_python(
+        "names = {}\n"
+        "exec('from maxentutil import *', names)\n"
+        "del names['__builtins__']\n"
+        "import maxentutil\n"
+        "print(sorted(names) == sorted(maxentutil.__all__))\n"
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "True"
+
+
+def test_an_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        maxentutil.no_such_name
+
+
+def test_a_module_loaded_by_another_import_binds_its_names_at_once():
+    # risk imports entropy, solver and utility; each binds its __all__ here
+    # as it loads, before anything asks the package for a name.
+    res = run_python(
+        "import sys, maxentutil\n"
+        "import maxentutil.risk\n"
+        "names = dict(vars(maxentutil))\n"
+        "print(all(names[n] is getattr(sys.modules['maxentutil.' + m], n)\n"
+        "          for m in ('solver', 'entropy', 'utility', 'risk')\n"
+        "          for n in sys.modules['maxentutil.' + m].__all__))\n"
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "True"

@@ -6,30 +6,33 @@ increments and get back the least-committed preferences consistent with a
 decision maker's answers.
 
 The package exports what each module's ``__all__`` declares.  Importing it
-loads :mod:`~maxentutil.core` (and numpy), which every caller needs; each
-other module loads the first time one of its names, or the module itself,
-is asked for, and then binds its whole ``__all__`` here.
+loads :mod:`~maxentutil.core`, :mod:`~maxentutil.solver` and
+:mod:`~maxentutil.entropy` (and numpy), which every solve needs;
+:mod:`~maxentutil.utility` and :mod:`~maxentutil.risk` load the first time
+one of their names, or the module itself, is asked for, and then bind their
+whole ``__all__`` here.
 """
 
 import sys as _sys
 from importlib import import_module as _import_module
 from types import ModuleType as _ModuleType
 
-from . import core
+from . import core, entropy, solver
 from .core import *
+from .entropy import *
+from .solver import *
 
 __version__ = "0.1.0"
 
-# The order __getattr__ loads them in, solver first because every solve needs
-# it; each imports only core and the modules before it.
-_LAZY = ("solver", "entropy", "utility", "risk")
+# The order __getattr__ loads them in: risk imports utility.
+_LAZY = ("utility", "risk")
 
 
 class _Package(_ModuleType):
     """The package module.  When the import system binds a lazy module here,
-    whichever import loaded it (another module's ``from .entropy import ...``
-    included), this binds the module's ``__all__`` too: once, as it loads,
-    before any caller can have replaced one of those names in it."""
+    whichever import loaded it (risk's ``from .utility import ...`` included),
+    this binds the module's ``__all__`` too: once, as it loads, before any
+    caller can have replaced one of those names in it."""
 
     def __setattr__(self, name, value):
         super().__setattr__(name, value)
@@ -42,18 +45,19 @@ _sys.modules[__name__].__class__ = _Package
 
 
 def __getattr__(name):
-    """Load the lazy modules in turn until one binds ``name``; ``__all__``
+    """Load the lazy modules in turn until one declares ``name``; ``__all__``
     loads them all."""
     if name in _LAZY:
         return _import_module(f".{name}", __name__)
-    for module in _LAZY:
-        _import_module(f".{module}", __name__)
-        if name in globals():
-            return globals()[name]
+    declared = [*core.__all__, *solver.__all__, *entropy.__all__]
+    for lazy in _LAZY:
+        module = _import_module(f".{lazy}", __name__)
+        if name in module.__all__:
+            return getattr(module, name)
+        declared += module.__all__
     if name == "__all__":
         global __all__
-        __all__ = [*core.__all__,
-                   *(n for m in _LAZY for n in globals()[m].__all__), "__version__"]
+        __all__ = [*declared, "__version__"]
         return __all__
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

@@ -199,7 +199,9 @@ def _panel_sizes(n: int) -> tuple[int, ...]:
 
 def _legendre_series(x: NDArray[np.float64], c: Sequence[float]) -> NDArray[np.float64]:
     """The Legendre series with coefficients ``c`` (lowest degree first) at
-    ``x``, by Clenshaw's recurrence with numpy's ``legval`` arithmetic."""
+    ``x``, by Clenshaw's recurrence rounded as numpy 2.4's ``legval`` rounds
+    it: each step scales by ``(nd - 1) / nd`` and ``(2 nd - 1) / nd``.  Older
+    releases may multiply first and divide after, which rounds apart."""
     c0, c1 = (c[0], 0.0) if len(c) == 1 else (c[-2], c[-1])
     nd = len(c)
     for i in range(3, len(c) + 1):
@@ -210,9 +212,10 @@ def _legendre_series(x: NDArray[np.float64], c: Sequence[float]) -> NDArray[np.f
 
 @lru_cache(maxsize=None)
 def _reference_rule(q: int) -> tuple[NDArray, NDArray]:
-    """The q-node Gauss-Legendre rule on [-1, 1]: nodes and weights, bit for
-    bit those of numpy's ``leggauss``, whose arithmetic this repeats step for
-    step (Golub & Welsch 1969).
+    """The q-node Gauss-Legendre rule on [-1, 1]: nodes and weights by the
+    arithmetic of numpy's ``leggauss``, step for step (Golub & Welsch 1969),
+    with :func:`_legendre_series`'s rounding on every numpy.  On numpy 2.4
+    they are ``leggauss``'s bit for bit.
 
     The nodes start as the eigenvalues of P_q's symmetric companion (Jacobi)
     matrix and take one Newton step on P_q.  The weights are 1/(P_{q-1} P_q')

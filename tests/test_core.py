@@ -96,13 +96,12 @@ def test_grid_matches_a_panel_by_panel_loop(a, b, n):
 
 
 @pytest.mark.parametrize("q", range(1, 65))
-def test_the_reference_rule_is_numpys_bit_for_bit(q):
+def test_the_reference_rule_is_numpys(q):
     # numpy.polynomial is imported here only, as the reference.
-    from numpy.polynomial.legendre import leggauss, legvander
+    from numpy.polynomial.legendre import leggauss, legvander, legval
 
     xi, w = leggauss(q)
     nodes, weights = _reference_rule(q)
-    assert np.array_equal(nodes, xi) and np.array_equal(weights, w)
     # The matrix as built from legvander's columns P_0 .. P_q.
     V = legvander(xi, q)
     k = np.arange(q)
@@ -111,7 +110,21 @@ def test_the_reference_rule_is_numpys_bit_for_bit(q):
     J[:, 0] = xi + 1.0
     for j in range(1, q):
         J[:, j] = (V[:, j + 1] - V[:, j - 1]) / (2.0 * j + 1.0)
-    assert np.array_equal(_partial_integration_matrix(q), J @ to_coef)
+    # The rule's Clenshaw steps form c1 * ((nd - 1) / nd), as numpy 2.4's
+    # legval does; older releases may form (c1 * (nd - 1)) / nd, which rounds
+    # apart from it on P_3 at these points.
+    probe, p3 = np.linspace(-1.0, 1.0, 101), [0.0, 0.0, 0.0, 1.0]
+    if np.array_equal(legval(probe, p3), core._legendre_series(probe, p3)):
+        assert np.array_equal(nodes, xi) and np.array_equal(weights, w)
+        assert np.array_equal(_partial_integration_matrix(q), J @ to_coef)
+        return
+    assert np.lib.NumpyVersion(np.__version__) < "2.4.0"
+    # Repeating the rule with the other rounding moves nodes by up to
+    # 1.2e-16, weights by up to a relative 4e-12 and the matrix by up to
+    # 1.8e-15 (q = 1..64).
+    assert np.allclose(nodes, xi, rtol=0.0, atol=np.finfo(float).eps)
+    assert np.allclose(weights, w, rtol=1e-11, atol=0.0)
+    assert np.allclose(_partial_integration_matrix(q), J @ to_coef, rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [16, 100, 1000, 8192])

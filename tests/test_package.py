@@ -64,8 +64,8 @@ def test_an_unknown_name_raises_attribute_error_naming_it():
 
 
 def test_a_module_loaded_by_another_import_binds_its_names_at_once():
-    # risk imports entropy, solver and utility; each binds its __all__ here
-    # as it loads, before anything asks the package for a name.
+    # risk imports utility; each binds its __all__ here as it loads, before
+    # anything asks the package for a name.
     res = run_python(
         "import sys, maxentutil\n"
         "import maxentutil.risk\n"
@@ -73,6 +73,19 @@ def test_a_module_loaded_by_another_import_binds_its_names_at_once():
         "print(all(names[n] is getattr(sys.modules['maxentutil.' + m], n)\n"
         "          for m in ('solver', 'entropy', 'utility', 'risk')\n"
         "          for n in sys.modules['maxentutil.' + m].__all__))\n"
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "True"
+
+
+def test_a_loaded_module_answers_for_its_names_before_they_are_bound():
+    # Another thread may ask for a name after the import system has put its
+    # module in sys.modules but before it has bound the module here; the
+    # module's __all__, not the package's globals, decides that it exists.
+    res = run_python(
+        "import maxentutil, maxentutil.utility as utility\n"
+        "del vars(maxentutil)['UtilityCurve']\n"
+        "print(maxentutil.UtilityCurve is utility.UtilityCurve)\n"
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "True"

@@ -190,6 +190,20 @@ def _power(x: NDArray[np.float64], degree: int) -> NDArray[np.float64]:
     return out
 
 
+def _check_power_range(support: "Support", scale: int, degree: int, label: str) -> None:
+    """ValidationError naming ``label`` and the node, unless scale *
+    x**degree is finite at the support's node of largest magnitude, where
+    such a row is largest.  On Python floats ``**`` raises OverflowError
+    where numpy would warn, but the product can reach inf without raising."""
+    node = support._outermost_node
+    try:
+        finite = math.isfinite(scale * node ** degree)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValidationError(f"{label} overflows a double at the node {node!r}")
+
+
 def _panel_sizes(n: int) -> tuple[int, ...]:
     """Split n quadrature nodes into panels of at most MAX_PANEL_NODES."""
     k = max(1, math.ceil(n / MAX_PANEL_NODES))
@@ -428,6 +442,14 @@ class Support:
         x = self.nodes
         return max(x.item(0), x.item(-1), key=abs)
 
+    @cached_property
+    def _uniform_starts(self) -> dict:
+        """The solver's uniform start on this grid for each set of power
+        degrees (see :mod:`maxentutil.solver`), kept like the nodes: it
+        lives and dies with the support.  Two threads may both compute a
+        missing start; they store the same bits."""
+        return {}
+
     def _per_node(self, values: ArrayLike, noun: str = "values") -> NDArray[np.float64]:
         """``values`` as a float array of real numbers (see
         :func:`_real_array`), checked to hold one value per node; ``noun``
@@ -571,13 +593,7 @@ class ConstraintFunction:
         self.validate_on(support)
         x = support.nodes
         if self.kind == "power":
-            node = support._outermost_node
-            try:
-                node ** self.degree  # a Python float raises where numpy warns
-            except OverflowError:
-                raise ValidationError(
-                    f"power {self.degree} overflows a double at the node {node!r}"
-                ) from None
+            _check_power_range(support, 1, self.degree, f"power {self.degree}")
             return _power(x, self.degree)
         if self.kind == "indicator":
             # Nodes ascend, so the nodes in [lower, upper] are one slice.
@@ -591,7 +607,9 @@ class ConstraintFunction:
 
         A power's slope degree * x**(degree - 1) takes its power the way
         :meth:`tabulate` does (|x| to the power, sign put back), for the same
-        reason.  Indicator functions differentiate to 0 away from their
+        reason, and a slope that overflows a double at the node of largest
+        magnitude raises ValidationError naming the degree and that node.
+        Indicator functions differentiate to 0 away from their
         edges; the nodes at (or straddling) an edge are the caller's problem
         and are reported by :meth:`edge_mask` (the risk profile masks the
         same nodes for every indicator at once).
@@ -601,6 +619,8 @@ class ConstraintFunction:
         if self.kind == "power":
             if self.degree == 1:
                 return np.ones_like(x)
+            _check_power_range(support, self.degree, self.degree - 1,
+                               f"the derivative of power {self.degree}")
             return self.degree * _power(x, self.degree - 1)
         if self.kind == "indicator":
             return np.zeros_like(x)

@@ -41,6 +41,19 @@ Newton works on the feature rows centered at their uniform-density means;
 the shift only moves log Z, and the reported log Z and density come from
 the uncentered matrix.
 
+Newton starts at zero, the uniform density, and what it computes there
+before it reads a target is the rows' alone: a uniform start
+(:class:`_UniformStart`).  Iteration 0 reads log Z, the node masses w p
+and the moments from it, and a problem without bracket rows also reads
+the first scaled-Hessian factor (or the fact that it is singular); a
+bracket problem forms its first factor afresh, because its held rows
+depend on its targets.  Power rows depend only on the grid, so the support
+keeps the start of each set of power degrees for its later solves; rows
+with an indicator or a tabulated function get a fresh one per solve.  The
+feature matrix is still tabulated per solve and centered afresh, and a
+kept start holds no m x n array.  Results are bit-identical either way:
+the same inputs go through the same operations.
+
 A Newton step allocates nothing of size m x n: the covariance centers and
 weights its rows in one (2, m, n) workspace per solve, since glibc hands
 blocks that large back to the OS and per-step temporaries were faulted in
@@ -273,42 +286,80 @@ def _newton_state(steps: int, gnorm: float, lam: NDArray[np.float64]) -> str:
             f"multipliers [{values}]")
 
 
+def _scaled_factor(
+    hess: NDArray[np.float64], s: NDArray[np.float64] | None = None
+) -> tuple[NDArray[np.float64], ...]:
+    """The Hessian scaled by ``s`` on both sides (by default to a unit
+    diagonal, s = 1/sqrt(diagonal)), its diagonal set to 1 plus the ridge,
+    and factored: (s, L^-1) for its Cholesky factor L, or () when the
+    Hessian is singular.  A held row's s is zero, which leaves it out."""
+    if s is None:
+        var = hess.diagonal()
+        if not all(v > 0.0 for v in var.tolist()):  # a NaN fails too
+            return ()
+        s = 1.0 / np.sqrt(var)
+    # The scaling makes the ridge relative, so a multiplier of any size gets
+    # the same step.  With a few rows, products with the inverted factor
+    # beat two solves, and the factor is numpy.linalg's, bit for bit,
+    # without its wrappers' cost.
+    scaled = hess * np.multiply.outer(s, s)
+    scaled.flat[::len(s) + 1] = 1.0 + _RIDGE
+    try:
+        return s, _inverse_factor(scaled)
+    except FloatingPointError:
+        return ()
+
+
 def _newton_direction(
-    H: NDArray[np.float64], wp: NDArray[np.float64], mom: NDArray[np.float64],
+    factor: tuple[NDArray[np.float64], ...], hess: NDArray[np.float64] | None,
     g: NDArray[np.float64], rows: list[int] | None, zero: list[int],
-    work: NDArray[np.float64],
 ) -> NDArray[np.float64] | None:
-    """Newton's direction on the rows in ``rows`` (all when None), the rest
-    held at zero, as are the rows in ``zero`` whose step would leave their
-    target's side (see :func:`_newton`); None when the Hessian is singular."""
-    hess = _covariance(H, wp, mom, rows, work)
-    var = hess.diagonal()
-    if not all(v > 0.0 for v in var.tolist()):  # a NaN fails too
-        return None
+    """Newton's direction from ``factor``, the :func:`_scaled_factor` of the
+    Hessian ``hess`` on the rows in ``rows`` (all when None), the rest held at
+    zero, as are the rows in ``zero`` whose step would leave their target's
+    side (see :func:`_newton`), ``hess`` being factored again without them;
+    None when the Hessian is singular."""
     g_rows = g if rows is None else g[rows]
-    # Newton on the Hessian scaled to a unit diagonal: the scaling makes the
-    # ridge relative, so a multiplier of any size gets the same step.  A held
-    # row scales to zero, which leaves it out.  With a few rows, products
-    # with the inverted factor beat two solves, and the factor is
-    # numpy.linalg's, bit for bit, without its wrappers' cost.
-    s = 1.0 / np.sqrt(var)
-    while True:
-        scaled = hess * np.multiply.outer(s, s)
-        scaled.flat[::len(s) + 1] = 1.0 + _RIDGE
-        try:
-            inv = _inverse_factor(scaled)
-        except FloatingPointError:
-            return None
+    while factor:
+        s, inv = factor
         step_rows = -s * (inv.T @ (inv @ (s * g_rows)))
         away = zero and _leaving(zero, step_rows.tolist(), g_rows.tolist())
         if not away:
-            break
+            if rows is None:
+                return step_rows
+            direction = np.zeros(len(g))
+            direction[rows] = step_rows
+            return direction
         s[away] = 0.0
-    if rows is None:
-        return step_rows
-    direction = np.zeros(H.shape[0])
-    direction[rows] = step_rows
-    return direction
+        factor = _scaled_factor(hess, s)
+    return None
+
+
+class _NewtonStart:
+    """Newton's iteration 0 before it reads a target, on centred rows H and
+    weights w: ``log_z``, the node masses ``wp`` = w p and the moments
+    ``mom`` = E[H] of the uniform density (multipliers zero), and
+    ``factor``, the :func:`_scaled_factor` of the Hessian there, which the
+    first problem without bracket rows fills (a bracket row's hold depends
+    on its targets).
+
+    This class and :class:`_UniformStart` are plain classes: a dataclass
+    generates its methods at import, which every CLI process pays."""
+
+    def __init__(self, H: NDArray[np.float64], w: NDArray[np.float64]) -> None:
+        self.log_z, p = _exponential_form(H, w, np.zeros(len(H)))
+        self.wp = w * p
+        self.mom = self.wp @ H.T
+        self.factor: tuple[NDArray[np.float64], ...] | None = None
+
+    def first_factor(
+        self, H: NDArray[np.float64], work: NDArray[np.float64]
+    ) -> tuple[NDArray[np.float64], ...]:
+        """The factor at the start, computed once (``work`` as in
+        :func:`_covariance`)."""
+        if self.factor is None:
+            self.factor = _scaled_factor(_covariance(H, self.wp, self.mom, None, work))
+        return self.factor
 
 
 def _newton(
@@ -320,6 +371,7 @@ def _newton(
     tol: float,
     max_iter: int,
     exact: NDArray[np.float64] | None = None,
+    start: _NewtonStart | None = None,
 ) -> tuple[NDArray[np.float64], int, float, tuple[float, ...], int, int]:
     """Damped Newton descent on the bracket dual
     D(lam) = log Z(lam) + sum_j max(lam_j lo_j, lam_j hi_j) from zero.
@@ -340,22 +392,24 @@ def _newton(
     ``exact``, a determined problem's multipliers (see :func:`_determined`),
     replaces the first Newton direction with the step from zero to them.
     The line search takes that step whole or not at all: when Armijo rejects
-    it, Newton takes its own first step instead, as if ``exact`` were None."""
+    it, Newton takes its own first step instead, as if ``exact`` were None.
+
+    ``start`` is ``_NewtonStart(H, w)``, which a grid keeps for its power
+    rows (see :func:`_solve`); None computes it."""
     m = H.shape[0]
     lam = np.zeros(m)
     bracket = (lo < hi).tolist()
     any_bracket = any(bracket)
     lows, highs = lo.tolist(), hi.tolist()
-    lz, p = _exponential_form(H, w, lam)
-    here = lz + float(lam @ np.where(lam > 0.0, hi, lo))
+    start = _NewtonStart(H, w) if start is None else start
+    wp, mom = start.wp, start.mom
+    here = start.log_z + float(lam @ np.where(lam > 0.0, hi, lo))
     trace = [here]
     if m == 0:
         return lam, 0, 0.0, tuple(trace), 0, 0
     work = np.empty((2, m, H.shape[1]))
     halvings = ratio_stops = 0
     for it in range(max_iter + 1):
-        wp = w * p
-        mom = wp @ H.T
         rows, zero = None, []
         if any_bracket:
             lams = lam.tolist()
@@ -379,7 +433,13 @@ def _newton(
         direction = None if exact is None else exact - lam
         while True:
             if direction is None:
-                direction = _newton_direction(H, wp, mom, g, rows, zero, work)
+                if it or any_bracket:
+                    hess = _covariance(H, wp, mom, rows, work)
+                    factor = _scaled_factor(hess)
+                else:
+                    # Without bracket rows the first factor reads no target.
+                    hess, factor = None, start.first_factor(H, work)
+                direction = _newton_direction(factor, hess, g, rows, zero)
                 if direction is None:
                     raise InfeasibleError(_SINGULAR + _newton_state(it, gnorm, lam))
                 if any_bracket:
@@ -413,6 +473,8 @@ def _newton(
         lam, here = trial, value
         trace.append(here)
         ratio_stops += len(stops)
+        wp = w * p
+        mom = wp @ H.T
     raise InfeasibleError(
         f"no convergence to tolerance {tol:g} in {max_iter} iterations; "
         "the problem is infeasible or unbounded" + _newton_state(max_iter, gnorm, lam)
@@ -458,18 +520,69 @@ def _determined(
             return None
 
 
+class _UniformStart:
+    """What a solve computes from its feature rows H before it reads a
+    target: each row's range (``h_min``, ``h_max``); the first column of
+    each atom (``atoms``, None when no columns merge) and the atoms' weights
+    ``wa``; the rows' uniform-density mean ``center`` on the atoms;
+    ``hc_size``, max |H - center| per row; and Newton's start on the
+    centred atom rows.  It holds one density on the atoms and O(m^2) more
+    numbers, no m x n array.  A support keeps one per set of power degrees
+    (``Support._uniform_starts``)."""
+
+    def __init__(
+        self, h_min: NDArray[np.float64], h_max: NDArray[np.float64],
+        atoms: NDArray[np.intp] | None, wa: NDArray[np.float64],
+        center: NDArray[np.float64], hc_size: NDArray[np.float64],
+        newton: _NewtonStart,
+    ) -> None:
+        self.h_min, self.h_max, self.atoms, self.wa = h_min, h_max, atoms, wa
+        self.center, self.hc_size, self.newton = center, hc_size, newton
+
+
+def _uniform_start(
+    H: NDArray[np.float64], w: NDArray[np.float64],
+    h_min: NDArray[np.float64], h_max: NDArray[np.float64],
+) -> tuple[_UniformStart, NDArray[np.float64], NDArray[np.float64]]:
+    """The uniform start of the rows H (of ranges h_min, h_max) on weights
+    w, with H on its atoms and those rows centred."""
+    # Newton runs on the atoms; with none to merge it gets the grid's own
+    # arrays.
+    atoms = _atom_starts(H)
+    Ha, wa = (H, w) if atoms is None else (H[:, atoms], np.add.reduceat(w, atoms))
+    center = (Ha @ wa) / float(wa.sum())
+    # C order: `H[:, atoms]` comes out in F order, on which matmul rounds
+    # differently.
+    Hc = np.subtract(Ha, center[:, None], order="C")
+    hc_size = np.maximum(h_max - center, center - h_min)
+    start = _UniformStart(h_min, h_max, atoms, wa, center, hc_size,
+                          _NewtonStart(Hc, wa))
+    return start, Ha, Hc
+
+
 def _solve(
     support: Support, specs: tuple[ConstraintSpec, ...], options: SolveOptions
 ) -> MaxEntSolution:
     """One Newton run on the validated specs: the one place a solve
     tabulates them, once, into the feature matrix every step reads."""
-    H, w = _feature_matrix(support, [s.function for s in specs]), support.weights
+    functions = [s.function for s in specs]
+    H, w = _feature_matrix(support, functions), support.weights
     tol = options.resolve_tol(support)
 
     # An equality is the bracket with lo == hi.
     lo = np.array([s.equals if s.is_equality else s.bounds[0] for s in specs])
     hi = np.array([s.equals if s.is_equality else s.bounds[1] for s in specs])
-    h_min, h_max = H.min(axis=1), H.max(axis=1)
+    # Power rows are a function of the grid alone, so the grid keeps their
+    # uniform start for every later solve of the same powers.  Indicator and
+    # tabulated rows carry per-problem data; theirs is computed per solve.
+    key = None
+    if all(f.kind == "power" for f in functions):
+        key = tuple(f.degree for f in functions)
+    start = None if key is None else support._uniform_starts.get(key)
+    if start is None:
+        h_min, h_max = H.min(axis=1), H.max(axis=1)
+    else:
+        h_min, h_max = start.h_min, start.h_max
     for i, spec in enumerate(specs):
         # One rule per row: its bracket meets the open range (h_min, h_max),
         # which puts an equality's target strictly inside.
@@ -487,30 +600,29 @@ def _solve(
                    f"{attainable}; the problem is infeasible or degenerate")
         raise InfeasibleError(why)
 
-    # Newton runs on the atoms; with none to merge it gets the grid's own
-    # arrays.
-    starts = _atom_starts(H)
-    Ha, wa = (H, w) if starts is None else (H[:, starts], np.add.reduceat(w, starts))
-    center = (Ha @ wa) / float(wa.sum())
-    # C order: `H[:, starts]` comes out in F order, on which matmul rounds
-    # differently.
-    Hc = np.subtract(Ha, center[:, None], order="C")
-    hc_size = np.maximum(h_max - center, center - h_min)
+    if start is None:
+        start, Ha, Hc = _uniform_start(H, w, h_min, h_max)
+        if key is not None:
+            support._uniform_starts[key] = start
+    else:
+        Ha = H if start.atoms is None else H[:, start.atoms]
+        Hc = np.subtract(Ha, start.center[:, None], order="C")
     # A determined problem's first step goes straight to its multipliers.
     # Only merged atoms qualify: m powers on m + 1 points can have exact
     # multipliers near 1e7, at which the solution's full-grid log Z loses
     # the mass to rounding.
-    exact = None
-    if starts is not None and Ha.shape[1] == len(specs) + 1 and (lo == hi).all():
+    exact, wa, center = None, start.wa, start.center
+    if start.atoms is not None and len(wa) == len(specs) + 1 and (lo == hi).all():
         exact = _determined(Ha, wa, Hc, lo)
     lam, iters, gnorm, trace, halvings, ratio_stops = _newton(
-        Hc, wa, lo - center, hi - center, hc_size, tol, options.max_iter, exact,
+        Hc, wa, lo - center, hi - center, start.hc_size, tol, options.max_iter,
+        exact, start.newton,
     )
 
     solution = MaxEntSolution(
         support=support, constraints=specs, multipliers=lam,
         diagnostics=SolverDiagnostics(
-            iterations=iters, grad_max_norm=gnorm, atoms=Ha.shape[1],
+            iterations=iters, grad_max_norm=gnorm, atoms=len(wa),
             dual_trace=tuple(trace), halvings=halvings, ratio_stops=ratio_stops,
         ),
     )

@@ -639,6 +639,30 @@ def test_a_power_row_that_overflows_is_an_input_error(support, degree, node):
     assert row.tobytes() == _signed_rule(support.nodes, 7).tobytes()
 
 
+@pytest.mark.parametrize(
+    "points, degree, node",
+    [
+        # 2**1023 is finite, but 1023 * 2**1022 is not: the product overflows.
+        ([0.0, 1.0, 2.0], 1023, 2.0),
+        ([-2.0, 0.0, 1.0], 1023, -2.0),
+        # 2.0**1024 itself overflows.
+        ([0.0, 1.0, 2.0], 1025, 2.0),
+    ],
+)
+def test_a_power_slope_that_overflows_is_an_input_error(points, degree, node):
+    support, fn = Support.discrete(points), ConstraintFunction.power(degree)
+    if degree == 1023:
+        assert abs(fn.tabulate(support)).max() == 2.0 ** 1023
+    # The suite turns numpy's overflow warning into an error; none is raised.
+    with pytest.raises(ValidationError) as info:
+        fn.derivative(support)
+    assert str(info.value) == (
+        f"the derivative of power {degree} overflows a double at the node {node!r}")
+    # Below, 1014 * 2**1013 is about 2**1023: finite, and the signed rule's.
+    slope = ConstraintFunction.power(1014).derivative(support)
+    assert slope.tobytes() == (1014 * _signed_rule(support.nodes, 1013)).tobytes()
+
+
 def test_first_power_row_is_a_fresh_writable_array():
     s = Support.continuous(-1.0, 1.0, 64)
     h = ConstraintFunction.power(1).tabulate(s)

@@ -447,7 +447,7 @@ class Support:
         """The solver's uniform start on this grid for each set of power
         degrees (see :mod:`maxentutil.solver`), kept like the nodes: it
         lives and dies with the support.  Two threads may both compute a
-        missing start; they store the same bits."""
+        missing start, or a missing part of one; they store the same bits."""
         return {}
 
     def _per_node(self, values: ArrayLike, noun: str = "values") -> NDArray[np.float64]:

@@ -43,16 +43,15 @@ the uncentered matrix.
 
 Newton starts at zero, the uniform density, and what it computes there
 before it reads a target is the rows' alone: a uniform start
-(:class:`_UniformStart`).  Iteration 0 reads log Z, the node masses w p
-and the moments from it, and a problem without bracket rows also reads
-the first scaled-Hessian factor (or the fact that it is singular); a
-bracket problem forms its first factor afresh, because its held rows
-depend on its targets.  Power rows depend only on the grid, so the support
-keeps the start of each set of power degrees for its later solves; rows
-with an indicator or a tabulated function get a fresh one per solve.  The
-feature matrix is still tabulated per solve and centered afresh, and a
-kept start holds no m x n array.  Results are bit-identical either way:
-the same inputs go through the same operations.
+(:class:`_UniformStart`).  Iteration 0 reads log Z and the moments from it,
+and, when every row enters that step, the first scaled-Hessian factor (or
+the fact that it is singular): the covariance at zero with every row in it
+reads no target.  Power rows depend only on the grid, so the support keeps
+the start of each set of power degrees for its later solves; rows with an
+indicator or a tabulated function get a fresh one per solve.  The feature
+matrix is still tabulated per solve and centered afresh, and a kept start
+holds no m x n array.  Results are bit-identical either way: the same
+inputs go through the same operations.
 
 A Newton step allocates nothing of size m x n: the covariance centers and
 weights its rows in one (2, m, n) workspace per solve, since glibc hands
@@ -91,6 +90,7 @@ full-grid evaluation loses the mass to rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -318,7 +318,8 @@ def _newton_direction(
     Hessian ``hess`` on the rows in ``rows`` (all when None), the rest held at
     zero, as are the rows in ``zero`` whose step would leave their target's
     side (see :func:`_newton`), ``hess`` being factored again without them;
-    None when the Hessian is singular."""
+    None when the Hessian is singular.  ``factor`` may be a kept one, so
+    its ``s`` is copied, not written."""
     g_rows = g if rows is None else g[rows]
     while factor:
         s, inv = factor
@@ -330,36 +331,10 @@ def _newton_direction(
             direction = np.zeros(len(g))
             direction[rows] = step_rows
             return direction
+        s = s.copy()
         s[away] = 0.0
         factor = _scaled_factor(hess, s)
     return None
-
-
-class _NewtonStart:
-    """Newton's iteration 0 before it reads a target, on centred rows H and
-    weights w: ``log_z``, the node masses ``wp`` = w p and the moments
-    ``mom`` = E[H] of the uniform density (multipliers zero), and
-    ``factor``, the :func:`_scaled_factor` of the Hessian there, which the
-    first problem without bracket rows fills (a bracket row's hold depends
-    on its targets).
-
-    This class and :class:`_UniformStart` are plain classes: a dataclass
-    generates its methods at import, which every CLI process pays."""
-
-    def __init__(self, H: NDArray[np.float64], w: NDArray[np.float64]) -> None:
-        self.log_z, p = _exponential_form(H, w, np.zeros(len(H)))
-        self.wp = w * p
-        self.mom = self.wp @ H.T
-        self.factor: tuple[NDArray[np.float64], ...] | None = None
-
-    def first_factor(
-        self, H: NDArray[np.float64], work: NDArray[np.float64]
-    ) -> tuple[NDArray[np.float64], ...]:
-        """The factor at the start, computed once (``work`` as in
-        :func:`_covariance`)."""
-        if self.factor is None:
-            self.factor = _scaled_factor(_covariance(H, self.wp, self.mom, None, work))
-        return self.factor
 
 
 def _newton(
@@ -370,8 +345,8 @@ def _newton(
     h_size: NDArray[np.float64],
     tol: float,
     max_iter: int,
+    start: _UniformStart,
     exact: NDArray[np.float64] | None = None,
-    start: _NewtonStart | None = None,
 ) -> tuple[NDArray[np.float64], int, float, tuple[float, ...], int, int]:
     """Damped Newton descent on the bracket dual
     D(lam) = log Z(lam) + sum_j max(lam_j lo_j, lam_j hi_j) from zero.
@@ -394,15 +369,21 @@ def _newton(
     The line search takes that step whole or not at all: when Armijo rejects
     it, Newton takes its own first step instead, as if ``exact`` were None.
 
-    ``start`` is ``_NewtonStart(H, w)``, which a grid keeps for its power
-    rows (see :func:`_solve`); None computes it."""
+    ``start`` is the rows' :class:`_UniformStart`.  Its iteration-0 fields
+    are filled by the first run that needs them and read by every later one."""
     m = H.shape[0]
     lam = np.zeros(m)
     bracket = (lo < hi).tolist()
     any_bracket = any(bracket)
     lows, highs = lo.tolist(), hi.tolist()
-    start = _NewtonStart(H, w) if start is None else start
-    wp, mom = start.wp, start.mom
+    # On finite rows p is exp(-log Z) at every node when the multipliers are
+    # zero, so w p there is w exp(-log Z) bit for bit, formed where needed.
+    wp = None
+    if start.mom is None:
+        log_z = _exponential_form(H, w, lam)[0]
+        wp = w * math.exp(-log_z)
+        start.log_z, start.mom = log_z, wp @ H.T
+    mom = start.mom
     here = start.log_z + float(lam @ np.where(lam > 0.0, hi, lo))
     trace = [here]
     if m == 0:
@@ -433,12 +414,17 @@ def _newton(
         direction = None if exact is None else exact - lam
         while True:
             if direction is None:
-                if it or any_bracket:
+                # With every row in it, the first step's Hessian reads no target.
+                first = not it and rows is None
+                if first and start.first is not None:
+                    hess, factor = start.first
+                else:
+                    if wp is None:
+                        wp = w * math.exp(-start.log_z)
                     hess = _covariance(H, wp, mom, rows, work)
                     factor = _scaled_factor(hess)
-                else:
-                    # Without bracket rows the first factor reads no target.
-                    hess, factor = None, start.first_factor(H, work)
+                    if first:
+                        start.first = hess, factor
                 direction = _newton_direction(factor, hess, g, rows, zero)
                 if direction is None:
                     raise InfeasibleError(_SINGULAR + _newton_state(it, gnorm, lam))
@@ -525,39 +511,30 @@ class _UniformStart:
     target: each row's range (``h_min``, ``h_max``); the first column of
     each atom (``atoms``, None when no columns merge) and the atoms' weights
     ``wa``; the rows' uniform-density mean ``center`` on the atoms;
-    ``hc_size``, max |H - center| per row; and Newton's start on the
-    centred atom rows.  It holds one density on the atoms and O(m^2) more
-    numbers, no m x n array.  A support keeps one per set of power degrees
-    (``Support._uniform_starts``)."""
+    ``hc_size``, max |H - center| per row; and Newton's iteration 0 on the
+    centred atom rows, which its first run fills: ``log_z`` and the moments
+    ``mom`` of the uniform density, and ``first``, the Hessian there and its
+    :func:`_scaled_factor`, once a first step takes every row.  It holds
+    O(m^2) numbers, and the atom weights when columns merge: no m x n
+    array.  A support keeps one per set of power degrees
+    (``Support._uniform_starts``).
+
+    A plain class: a dataclass generates its methods at import, which every
+    CLI process pays."""
 
     def __init__(
-        self, h_min: NDArray[np.float64], h_max: NDArray[np.float64],
-        atoms: NDArray[np.intp] | None, wa: NDArray[np.float64],
-        center: NDArray[np.float64], hc_size: NDArray[np.float64],
-        newton: _NewtonStart,
+        self, H: NDArray[np.float64], w: NDArray[np.float64],
+        h_min: NDArray[np.float64], h_max: NDArray[np.float64],
     ) -> None:
-        self.h_min, self.h_max, self.atoms, self.wa = h_min, h_max, atoms, wa
-        self.center, self.hc_size, self.newton = center, hc_size, newton
-
-
-def _uniform_start(
-    H: NDArray[np.float64], w: NDArray[np.float64],
-    h_min: NDArray[np.float64], h_max: NDArray[np.float64],
-) -> tuple[_UniformStart, NDArray[np.float64], NDArray[np.float64]]:
-    """The uniform start of the rows H (of ranges h_min, h_max) on weights
-    w, with H on its atoms and those rows centred."""
-    # Newton runs on the atoms; with none to merge it gets the grid's own
-    # arrays.
-    atoms = _atom_starts(H)
-    Ha, wa = (H, w) if atoms is None else (H[:, atoms], np.add.reduceat(w, atoms))
-    center = (Ha @ wa) / float(wa.sum())
-    # C order: `H[:, atoms]` comes out in F order, on which matmul rounds
-    # differently.
-    Hc = np.subtract(Ha, center[:, None], order="C")
-    hc_size = np.maximum(h_max - center, center - h_min)
-    start = _UniformStart(h_min, h_max, atoms, wa, center, hc_size,
-                          _NewtonStart(Hc, wa))
-    return start, Ha, Hc
+        self.h_min, self.h_max = h_min, h_max
+        # Newton runs on the atoms; with none to merge it gets the grid's
+        # own arrays.
+        self.atoms = atoms = _atom_starts(H)
+        Ha, wa = (H, w) if atoms is None else (H[:, atoms], np.add.reduceat(w, atoms))
+        center = (Ha @ wa) / float(wa.sum())
+        self.wa, self.center = wa, center
+        self.hc_size = np.maximum(h_max - center, center - h_min)
+        self.log_z = self.mom = self.first = None
 
 
 def _solve(
@@ -601,12 +578,13 @@ def _solve(
         raise InfeasibleError(why)
 
     if start is None:
-        start, Ha, Hc = _uniform_start(H, w, h_min, h_max)
+        start = _UniformStart(H, w, h_min, h_max)
         if key is not None:
             support._uniform_starts[key] = start
-    else:
-        Ha = H if start.atoms is None else H[:, start.atoms]
-        Hc = np.subtract(Ha, start.center[:, None], order="C")
+    Ha = H if start.atoms is None else H[:, start.atoms]
+    # C order: `H[:, atoms]` comes out in F order, on which matmul rounds
+    # differently.
+    Hc = np.subtract(Ha, start.center[:, None], order="C")
     # A determined problem's first step goes straight to its multipliers.
     # Only merged atoms qualify: m powers on m + 1 points can have exact
     # multipliers near 1e7, at which the solution's full-grid log Z loses
@@ -616,7 +594,7 @@ def _solve(
         exact = _determined(Ha, wa, Hc, lo)
     lam, iters, gnorm, trace, halvings, ratio_stops = _newton(
         Hc, wa, lo - center, hi - center, start.hc_size, tol, options.max_iter,
-        exact, start.newton,
+        start, exact,
     )
 
     solution = MaxEntSolution(

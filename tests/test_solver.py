@@ -660,9 +660,12 @@ def _full_grid_multipliers(sol):
     lo, hi = np.array(
         [(s.equals, s.equals) if s.is_equality else s.bounds for s in sol.constraints]
     ).T
+    # A start built on Hc itself fills Newton's iteration 0 from (Hc, w);
+    # its atoms and centre go unread.
+    start = solver._UniformStart(Hc, w, Hc.min(axis=1), Hc.max(axis=1))
     return _newton(
         Hc, w, lo - center, hi - center, np.abs(Hc).max(axis=1),
-        SolveOptions().resolve_tol(sol.support), 200,
+        SolveOptions().resolve_tol(sol.support), 200, start,
     )[0]
 
 

@@ -8,6 +8,7 @@ array, and lives and dies with its support.
 
 import dataclasses
 import gc
+import math
 import sys
 import threading
 import weakref
@@ -22,6 +23,8 @@ from maxentutil.core import (
     ConstraintSpec,
     MaxentError,
     Support,
+    _exponential_form,
+    _feature_matrix,
 )
 from maxentutil.solver import SolveOptions, solve_equality, solve_interval
 
@@ -154,6 +157,125 @@ def test_a_singular_first_hessian_fails_warm_as_cold(monkeypatch):
     assert len(calls) == 1
 
 
+# ------------------------------------------------------ the first factor
+# Newton's first step reads the kept Hessian and factor whenever every row
+# enters it, brackets or not: at zero, that covariance reads no target.
+
+
+def _brackets(*bounds):
+    return [ConstraintSpec.interval(ConstraintFunction.power(k + 1), lo, hi)
+            for k, (lo, hi) in enumerate(bounds)]
+
+
+#: Brackets on powers 1 and 2 on [0, 1], where the uniform density has
+#: E[x] = 1/2 and E[x^2] = 1/3.  Both rows violated, and both in the step.
+EVERY_ROW = _brackets((0.4, 0.45), (0.36, 0.4))
+#: Both violated, but the first step would carry the second row's
+#: multiplier off its side, so the step holds it (its ``s`` goes to zero).
+HELD_BY_ITS_STEP = _brackets((0.55, 0.6), (0.36, 0.4))
+#: The mean is inside its bracket at zero: that row stays out of the step.
+HELD_SLACK = _brackets((0.45, 0.55), (0.36, 0.4))
+
+
+def _counted_covariances(monkeypatch):
+    calls = []
+    covariance = solver._covariance
+
+    def counted(*args):
+        calls.append(args[3])  # the rows
+        return covariance(*args)
+
+    monkeypatch.setattr(solver, "_covariance", counted)
+    return calls
+
+
+def test_a_bracket_solve_with_every_row_in_its_first_step_fills_the_factor(monkeypatch):
+    support = Support.continuous(0.0, 1.0, 256)
+    calls = _counted_covariances(monkeypatch)
+    assert solve_interval(support, EVERY_ROW).active_bounds == ("hi", "lo")
+    assert calls[0] is None
+    hess, (s, inv) = support._uniform_starts[(1, 2)].first
+    assert hess.shape == inv.shape == (2, 2) and s.shape == (2,)
+    # A later equality solve of the same powers forms no covariance at zero,
+    # only one per later step; on a fresh grid it forms one per step.
+    specs = _powers(0.45, 0.25)
+    calls.clear()
+    cold = _outcome(solve_equality, Support.continuous(0.0, 1.0, 256), specs)
+    steps = cold[6]
+    assert steps > 1 and len(calls) == steps
+    calls.clear()
+    assert _outcome(solve_equality, support, specs) == cold
+    assert len(calls) == steps - 1
+    assert support._uniform_starts[(1, 2)].first[0] is hess
+
+
+@pytest.mark.parametrize("held", [HELD_BY_ITS_STEP, HELD_SLACK],
+                         ids=["by its step", "slack"])
+def test_a_bracket_solve_that_holds_a_row_leaves_the_kept_factor_as_it_was(
+    monkeypatch, held
+):
+    cold = _outcome(solve_interval, Support.continuous(0.0, 1.0, 256), held)
+    support = Support.continuous(0.0, 1.0, 256)
+    solve_equality(support, _powers(0.45, 0.25))
+    hess, (s, inv) = support._uniform_starts[(1, 2)].first
+    before = [a.tobytes() for a in (hess, s, inv)]
+    leaving, away = solver._leaving, []
+
+    def recorded(*args):
+        away.append(leaving(*args))
+        return away[-1]
+
+    monkeypatch.setattr(solver, "_leaving", recorded)
+    calls = _counted_covariances(monkeypatch)
+    assert _outcome(solve_interval, support, held) == cold
+    if held is HELD_BY_ITS_STEP:
+        # The first step read the kept factor and held row 1 off it.
+        assert away[0] == [1] and len(calls) == cold[6] - 1
+    else:
+        # A fresh covariance of the one row in the first step.
+        assert calls[0] == [1] and len(calls) == cold[6]
+    assert [a.tobytes() for a in (hess, s, inv)] == before
+    assert support._uniform_starts[(1, 2)].first[0] is hess
+
+
+def _kept_masses(support):
+    """(w exp(-log Z), the kernel's w p at zero) for each start the support
+    keeps, on its centred atom rows."""
+    for degrees, start in support._uniform_starts.items():
+        H = _feature_matrix(support, [ConstraintFunction.power(d) for d in degrees])
+        Ha = H if start.atoms is None else H[:, start.atoms]
+        Hc = np.subtract(Ha, start.center[:, None], order="C")
+        w = start.wa
+        p = _exponential_form(Hc, w, np.zeros(len(degrees)))[1]
+        yield (w * math.exp(-start.log_z)).tobytes(), (w * p).tobytes()
+
+
+@pytest.mark.parametrize("a, b", INTERVALS)
+def test_the_masses_at_zero_are_the_kernels_on_the_benchmark_intervals(a, b):
+    support = Support.continuous(a, b)
+    x, w = support.nodes, support.weights / (b - a)
+    for degrees in [(1,), (1, 2), (2, 3), (1, 2, 3, 4)]:
+        moments = [float(w @ (0.9 * x + 0.1 * a) ** d) for d in degrees]
+        specs = [ConstraintSpec.equality(ConstraintFunction.power(d), t)
+                 for d, t in zip(degrees, moments)]
+        solve_equality(support, specs)
+        solve_interval(support, [ConstraintSpec.interval(
+            s.function, *sorted((0.9 * s.equals, 0.95 * s.equals))) for s in specs])
+    assert len(support._uniform_starts) == 4
+    for derived, kernel in _kept_masses(support):
+        assert derived == kernel
+
+
+def test_the_masses_at_zero_are_the_kernels_on_merged_atoms():
+    support = Support.discrete([-2.0, -1.0, 1.0, 2.0])
+    solve_equality(support, [ConstraintSpec.equality(ConstraintFunction.power(2), 2.0)])
+    start = support._uniform_starts[(2,)]
+    assert start.atoms.tolist() == [0, 1, 3]  # x^2 is 1 at both -1 and 1
+    assert start.wa.tolist() == [1.0, 2.0, 1.0]
+    [(derived, kernel)] = _kept_masses(support)
+    assert derived == kernel
+
+
 # ------------------------------------------------------- scope and lifetime
 
 _MEAN = ConstraintFunction.power(1)
@@ -173,13 +295,11 @@ def test_a_set_with_an_indicator_or_a_tabulated_row_keeps_no_start(other):
     assert support._uniform_starts == {}
 
 
-def _arrays(obj):
-    for value in vars(obj).values():
+def _arrays(values):
+    for value in values:
         if isinstance(value, np.ndarray):
             yield value
         elif isinstance(value, tuple):
-            yield from value
-        elif isinstance(value, solver._NewtonStart):
             yield from _arrays(value)
 
 
@@ -196,10 +316,12 @@ def test_a_start_holds_no_m_by_n_array(support):
     solve_interval(support, [ConstraintSpec.interval(s.function, 0.95 * s.equals,
                                                      1.05 * s.equals) for s in specs])
     start = support._uniform_starts[(1, 2, 3)]
-    assert start.newton.factor  # filled by the equality problem
-    shapes = [a.shape for a in _arrays(start)]
-    assert (m, m) in shapes and (support.n,) in shapes
-    assert all(len(s) == 1 or s == (m, m) for s in shapes), shapes
+    assert start.first[1]  # filled by the equality problem
+    # No columns merge, so the atom weights are the grid's own.
+    assert start.wa is support.weights
+    shapes = [a.shape for a in _arrays(vars(start).values()) if a is not start.wa]
+    assert (m, m) in shapes
+    assert all(s in ((m,), (m, m)) for s in shapes), shapes
 
 
 def test_equal_distinct_and_replaced_supports_start_cold():
@@ -225,26 +347,34 @@ def test_a_dropped_support_is_collected_with_its_starts():
     support = Support.continuous(0.0, 1.0, 64)
     solve_equality(support, _powers(0.3, 0.2))
     start = support._uniform_starts[(1, 2)]
-    refs = [weakref.ref(support), weakref.ref(start), weakref.ref(start.newton)]
+    refs = [weakref.ref(a) for a in (support, start, start.mom, start.first[0])]
     del support, start
     # The feature-matrix owner holds the support of its last call until the next.
     solve_equality(Support.discrete([0.0, 1.0]), [])
     gc.collect()
-    assert [ref() for ref in refs] == [None, None, None]
+    assert [ref() for ref in refs] == [None] * 4
 
 
 def test_threads_on_one_grid_give_the_serial_bytes():
-    grid = lambda: Support.continuous(-1.0, 1.0, 256)  # noqa: E731
-    problems = [_powers(0.1), _powers(0.1, 0.4), _powers(0.0, 0.3, 0.05),
-                _powers(-0.1, 0.35, -0.02, 0.2)]
-    want = [_outcome(solve_equality, grid(), specs) for specs in problems]
+    grid = lambda: Support.continuous(0.0, 1.0, 256)  # noqa: E731
+    # Equalities, and brackets on powers 1 and 2 whose first step takes
+    # every row from the kept factor, holds a row off it, or holds a slack
+    # row: every thread but the last two shares the start of powers 1, 2.
+    problems = [
+        (solve_equality, _powers(0.45, 0.25)), (solve_interval, EVERY_ROW),
+        (solve_interval, HELD_BY_ITS_STEP), (solve_interval, HELD_SLACK),
+        (solve_equality, _powers(0.55)), (solve_equality, _powers(0.5, 0.3, 0.2)),
+    ]
+    want = [_outcome(solve, grid(), specs) for solve, specs in problems]
+    assert all(isinstance(outcome[0], bytes) for outcome in want)
     shared, barrier = grid(), threading.Barrier(len(problems))
     got = [[] for _ in problems]
 
     def worker(i):
         barrier.wait()
+        solve, specs = problems[i]
         for _ in range(25):
-            got[i].append(_outcome(solve_equality, shared, problems[i]))
+            got[i].append(_outcome(solve, shared, specs))
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(problems))]
     interval = sys.getswitchinterval()

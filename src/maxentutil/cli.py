@@ -15,10 +15,10 @@ mixes constraints and assessments is rejected.  `nodes`, `tol`,
 `max_iter`, `base` (natural or base2) and `out` may be set in the file; a
 command-line flag that is given (a zero is) overrides its key, before the
 spec's rules run, so they hold for flags too: `--nodes` on a `points` spec
-fails as `nodes = N` does.  Only `constraint` and `assessment` lines
-repeat; any other key given twice is an error.  `entropy --masses` runs no
-solve and takes only `--base2`; `--nodes`, `--tol` or `--max-iter` with it
-is an input error.
+fails as `nodes = N` does, and an empty `out` fails from either.  Only
+`constraint` and `assessment` lines repeat; any other key given twice is an
+error.  `entropy --masses` runs no solve and takes only `--base2`;
+`--nodes`, `--tol` or `--max-iter` with it is an input error.
 
 Exit status: 0 on convergence, 1 for parse or validation problems, output
 that cannot be written, or a stdout pipe whose reader has gone away, 2 when
@@ -215,6 +215,8 @@ def _checked_spec(args: argparse.Namespace) -> SpecFile:
         raise ValidationError("assessments need a continuous domain")
     if spec.points is not None and spec.nodes is not None:
         raise ValidationError("'nodes' applies only to a continuous domain")
+    if spec.out == "":
+        raise ValidationError("'out' needs a file name")
     return spec
 
 

@@ -172,6 +172,21 @@ def test_out_key_in_spec_file(tmp_path):
     assert_matches_golden(target.read_bytes().decode(), GOLDEN / "uniform.csv")
 
 
+@pytest.mark.parametrize("out_line, flags", [("out =\n", []), ("", ["--out", ""])])
+def test_an_empty_out_exits_one_from_flag_or_file(
+    tmp_path, capsys, monkeypatch, out_line, flags
+):
+    # An empty file name asks for a file all the same; the table does not
+    # fall back to stdout.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "uniform.spec").write_text(f"domain = 0 1\nnodes = 128\n{out_line}")
+    assert main(["solve", "uniform.spec", *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: 'out' needs a file name\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["uniform.spec"]
+
+
 def test_tol_flag_is_honored():
     res = run_cli("solve", str(DATA / "cara.spec"), "--tol", "1e-3")
     assert res.returncode == 0

@@ -1,5 +1,7 @@
 """The package's API is the union of its library modules' ``__all__``,
-loaded module by module on first use."""
+loaded module by module on first use.  A name of ``utility`` or ``risk`` is
+looked up in its module on every access and never copied into the package,
+so it has one binding, its module's."""
 
 import pytest
 
@@ -63,29 +65,85 @@ def test_an_unknown_name_raises_attribute_error_naming_it():
         maxentutil.no_such_name
 
 
-def test_a_module_loaded_by_another_import_binds_its_names_at_once():
-    # risk imports utility; each binds its __all__ here as it loads, before
-    # anything asks the package for a name.
+def test_a_module_loaded_by_another_import_answers_for_its_names():
+    # risk imports utility; once loaded that way, each module is the
+    # package's attribute and each of its names is the module's object.
     res = run_python(
         "import sys, maxentutil\n"
         "import maxentutil.risk\n"
-        "names = dict(vars(maxentutil))\n"
-        "print(all(names[n] is getattr(sys.modules['maxentutil.' + m], n)\n"
-        "          for m in ('solver', 'entropy', 'utility', 'risk')\n"
-        "          for n in sys.modules['maxentutil.' + m].__all__))\n"
+        "print(all(getattr(maxentutil, m) is sys.modules['maxentutil.' + m]\n"
+        "          and all(getattr(maxentutil, n) is getattr(sys.modules['maxentutil.' + m], n)\n"
+        "                  for n in sys.modules['maxentutil.' + m].__all__)\n"
+        "          for m in ('core', 'solver', 'entropy', 'utility', 'risk')))\n"
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "True"
 
 
-def test_a_loaded_module_answers_for_its_names_before_they_are_bound():
-    # Another thread may ask for a name after the import system has put its
-    # module in sys.modules but before it has bound the module here; the
-    # module's __all__, not the package's globals, decides that it exists.
+def test_no_utility_or_risk_name_is_copied_into_the_package():
+    # Every route that loads them: a name, the module, __all__, dir() and
+    # a star import.
     res = run_python(
-        "import maxentutil, maxentutil.utility as utility\n"
-        "del vars(maxentutil)['UtilityCurve']\n"
-        "print(maxentutil.UtilityCurve is utility.UtilityCurve)\n"
+        "import maxentutil, maxentutil.risk as risk, maxentutil.utility as utility\n"
+        "maxentutil.UtilityCurve, maxentutil.risk, maxentutil.__all__, dir(maxentutil)\n"
+        "exec('from maxentutil import *', {})\n"
+        "print(sorted(set(vars(maxentutil)) & {*utility.__all__, *risk.__all__}))\n"
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "True"
+    assert res.stdout.strip() == "[]"
+
+
+def test_a_patch_of_a_lazy_name_is_seen_through_the_package_and_undone(monkeypatch):
+    original = utility.density_to_curve
+
+    def patched(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(utility, "density_to_curve", patched)
+    assert maxentutil.density_to_curve is patched
+    monkeypatch.undo()
+    assert maxentutil.density_to_curve is original
+
+
+def test_threads_asking_first_for_lazy_names_each_get_the_module_object():
+    # Eight threads each ask first for a different name, so one may load
+    # utility or risk while another's request finds it loading; a tiny
+    # switch interval interleaves them.
+    res = run_python(
+        "import sys, threading\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "import maxentutil\n"
+        "names = ['UtilityCurve', 'cumulate', 'density_to_curve', 'classify_family',\n"
+        "         'maxent_utility_from_assessments', 'RiskAversionProfile',\n"
+        "         'risk_aversion_analytic', 'risk_aversion_numeric']\n"
+        "barrier = threading.Barrier(len(names))\n"
+        "got, errors = {}, []\n"
+        "def ask(name):\n"
+        "    barrier.wait()\n"
+        "    try:\n"
+        "        got[name] = getattr(maxentutil, name)\n"
+        "    except Exception as exc:\n"
+        "        errors.append(repr(exc))\n"
+        "threads = [threading.Thread(target=ask, args=(n,)) for n in names]\n"
+        "for t in threads: t.start()\n"
+        "for t in threads: t.join()\n"
+        "u, r = sys.modules['maxentutil.utility'], sys.modules['maxentutil.risk']\n"
+        "print(errors)\n"
+        "print(all(got[n] is getattr(r if n in r.__all__ else u, n) for n in names))\n"
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["[]", "True"]
+
+
+def test_asking_for_a_lazy_module_loads_and_returns_it():
+    res = run_python(
+        "import sys, maxentutil\n"
+        "print('maxentutil.risk' in sys.modules)\n"
+        "print(maxentutil.risk is sys.modules['maxentutil.risk'])\n"
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["False", "True"]
+
+
+def test_dir_lists_every_export():
+    assert set(maxentutil.__all__) <= set(dir(maxentutil))

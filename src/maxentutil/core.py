@@ -116,6 +116,15 @@ def _finite(value) -> bool:
         return False
 
 
+def _unused(obj, kind: str, names: tuple[str, ...]) -> None:
+    """ValidationError naming the first of the fields ``names`` that ``obj``
+    sets: its ``kind`` does not read them, and a value there would be kept
+    but never used."""
+    for name in names:
+        if getattr(obj, name) is not None:
+            raise ValidationError(f"{kind} takes no {name}")
+
+
 def _reals(values, message: str) -> tuple[float, ...]:
     """``values`` as a tuple of Python floats, each passing :func:`_finite`;
     ValidationError(message) for anything else, a non-iterable included."""
@@ -298,6 +307,9 @@ class Support:
         points: the discrete points (discrete only): a flat sequence of
             integers or floats, strictly increasing as floats (a tuple
             mixing bools and floats converts), stored as a tuple of floats.
+
+    A field the kind does not use (``points`` on a continuous support, ``a``
+    or ``b`` on a discrete one) raises ValidationError naming it.
     """
 
     kind: str
@@ -309,6 +321,7 @@ class Support:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _integer(self.n, "node count must be an integer"))
         if self.kind == "discrete":
+            _unused(self, "discrete support", ("a", "b"))
             message = "support points must be real numbers"
             pts = _real_array(() if self.points is None else self.points, message)
             if pts.ndim != 1:
@@ -317,12 +330,13 @@ class Support:
                 raise ValidationError("discrete support needs at least 2 points")
             if not np.isfinite(pts).all():
                 raise ValidationError("support points must be finite")
-            if not (np.diff(pts) > 0).all():
+            if not (pts[1:] > pts[:-1]).all():  # a difference may overflow
                 raise ValidationError("support points must be strictly increasing")
             if self.n != len(pts):
                 raise ValidationError("discrete support size disagrees with its points")
             object.__setattr__(self, "points", tuple(pts.tolist()))
         elif self.kind == "continuous":
+            _unused(self, "continuous support", ("points",))
             if self.a is None or self.b is None:
                 raise ValidationError("continuous support needs bounds a and b")
             if not (_finite(self.a) and _finite(self.b)):
@@ -418,7 +432,9 @@ class Support:
         if not self.is_continuous:
             return _readonly(self.points)
         edges, hw = self.panel_edges, self._half_widths
-        mid = 0.5 * (edges[:-1] + edges[1:])
+        # Halved before the sum, which then stays a double near 1.8e308:
+        # the same bits as 0.5 * (sum) wherever that sum is one.
+        mid = 0.5 * edges[:-1] + 0.5 * edges[1:]
         return _frozen(np.concatenate([
             (mid[p, None] + hw[p, None] * _reference_rule(q)[0]).ravel()
             for q, p, _ in self._panel_groups
@@ -515,7 +531,8 @@ class ConstraintFunction:
     Three kinds are supported.  ``power`` is h(x) = x**degree.  ``indicator``
     is 1 on [lower, upper] and 0 elsewhere.  ``tabulated`` supplies one value
     per support node (and, optionally, one slope per node so that risk
-    profiles can be formed from it).
+    profiles can be formed from it).  A field the kind does not use raises
+    ValidationError naming it.
     """
 
     kind: str
@@ -527,12 +544,14 @@ class ConstraintFunction:
 
     def __post_init__(self) -> None:
         if self.kind == "power":
+            _unused(self, "power constraint", ("lower", "upper", "values", "slope"))
             message = "power degree must be a positive integer"
             d = _integer(self.degree, message)
             if d < 1:
                 raise ValidationError(message)
             object.__setattr__(self, "degree", d)
         elif self.kind == "indicator":
+            _unused(self, "indicator constraint", ("degree", "values", "slope"))
             if self.lower is None or self.upper is None:
                 raise ValidationError("indicator needs both edges")
             if not (_finite(self.lower) and _finite(self.upper)):
@@ -542,6 +561,7 @@ class ConstraintFunction:
             object.__setattr__(self, "lower", float(self.lower))
             object.__setattr__(self, "upper", float(self.upper))
         elif self.kind == "tabulated":
+            _unused(self, "tabulated constraint", ("degree", "lower", "upper"))
             values = _reals(self.values, "tabulated values must be finite real numbers")
             if not values:
                 raise ValidationError("tabulated constraint needs values")

@@ -37,9 +37,10 @@ it.  Unattainable targets fail hard, not with a quiet wrong answer: their
 multipliers diverge until the density underflows at some node, which is
 checked after every accepted step.
 
-Newton works on the feature rows centered at their uniform-density means;
-the shift only moves log Z, and the reported log Z and density come from
-the uncentered matrix.
+Newton works on the feature rows centered at their uniform-density means, each
+in its own unit, a power of two near its spread (:class:`_UniformStart`): its
+moments, covariances and steps are the caller's-unit ones times powers of two,
+bit for bit, where those are doubles, and no row overflows for its width.
 
 Newton starts at zero, the uniform density, and what it computes there
 before it reads a target is the rows' alone: a uniform start
@@ -133,8 +134,8 @@ DEFAULT_TOL_DISCRETE = 1e-9
 DEFAULT_TOL_CONTINUOUS = 1e-8
 _ARMIJO_SLOPE = 1e-4
 #: The Armijo test forgives an increase of D this small relative to the terms
-#: D sums (max(1, |D|, sum_j |m_j| max|h_j|)): near the optimum a Newton step
-#: moves D by less than its rounding, and the search would halve it to nothing.
+#: D sums, max(1, |D|, sum_j |m_j|) on rows of size 1/2 to 2: near the optimum a
+#: Newton step moves D by less than its rounding, and the search would halve it.
 _ARMIJO_ROUNDING = 8.0 * np.finfo(np.float64).eps
 #: Added to the unit diagonal of the scaled Hessian, so that consistent but
 #: linearly dependent constraints still factor.
@@ -278,10 +279,12 @@ def _ratio_test(
     return step, [j for j, r in ratio.items() if r <= step]
 
 
-def _newton_state(steps: int, gnorm: float, lam: NDArray[np.float64]) -> str:
-    """Where Newton stopped, for its errors: on a line of its own, so that
-    the first line still names the cause alone."""
-    values = ", ".join(f"{v:.6g}" for v in lam.tolist())
+def _newton_state(steps: int, gnorm: float, lam: NDArray[np.float64],
+                  unit: NDArray[np.float64]) -> str:
+    """Where Newton stopped, for its errors, with the multipliers in the
+    caller's units (Python floats: past the doubles, inf and no warning): on
+    a line of its own, so that the first line still names the cause alone."""
+    values = ", ".join(f"{v / u:.6g}" for v, u in zip(lam.tolist(), unit.tolist()))
     return (f"\nat Newton step {steps}: gradient max-norm {gnorm:.6g}, "
             f"multipliers [{values}]")
 
@@ -342,7 +345,6 @@ def _newton(
     w: NDArray[np.float64],
     lo: NDArray[np.float64],
     hi: NDArray[np.float64],
-    h_size: NDArray[np.float64],
     tol: float,
     max_iter: int,
     start: _UniformStart,
@@ -361,8 +363,7 @@ def _newton(
     is held too, and the step is recomputed without it.  The first trial
     stops where a multiplier first reaches zero and sets it to exactly 0, so
     every trial lies on the Newton direction.  A row with lo == hi is an
-    equality and skips all of this.  ``h_size`` is max|H| per row, the
-    scale of D's rounding.
+    equality and skips all of this.
 
     ``exact``, a determined problem's multipliers (see :func:`_determined`),
     replaces the first Newton direction with the step from zero to them.
@@ -370,8 +371,10 @@ def _newton(
     it, Newton takes its own first step instead, as if ``exact`` were None.
 
     ``start`` is the rows' :class:`_UniformStart`.  Its iteration-0 fields
-    are filled by the first run that needs them and read by every later one."""
+    are filled by the first run that needs them and read by every later one.
+    H, lo, hi and lam are in the units ``start.unit``, gnorm and errors not."""
     m = H.shape[0]
+    unit = start.unit
     lam = np.zeros(m)
     bracket = (lo < hi).tolist()
     any_bracket = any(bracket)
@@ -402,14 +405,14 @@ def _newton(
                 rows = kept
         else:
             g = lo - mom
-        gnorm = float(np.maximum.reduce(abs(g)))
+        gnorm = float(np.maximum.reduce(abs(g) * unit))
         if it and not np.minimum.reduce(p) > 0.0:
-            raise InfeasibleError(_UNDERFLOW + _newton_state(it, gnorm, lam))
+            raise InfeasibleError(_UNDERFLOW + _newton_state(it, gnorm, lam, unit))
         if gnorm <= tol:
             return lam, it, gnorm, tuple(trace), halvings, ratio_stops
         if it == max_iter:
             break
-        allowance = _ARMIJO_ROUNDING * max(1.0, abs(here), float(np.abs(lam) @ h_size))
+        allowance = _ARMIJO_ROUNDING * max(1.0, abs(here), float(abs(lam).sum()))
         step, stops = 1.0, []
         direction = None if exact is None else exact - lam
         while True:
@@ -427,7 +430,8 @@ def _newton(
                         start.first = hess, factor
                 direction = _newton_direction(factor, hess, g, rows, zero)
                 if direction is None:
-                    raise InfeasibleError(_SINGULAR + _newton_state(it, gnorm, lam))
+                    raise InfeasibleError(
+                        _SINGULAR + _newton_state(it, gnorm, lam, unit))
                 if any_bracket:
                     step, stops = _ratio_test(lams, direction.tolist(), bracket)
             trial, bound = lam + (direction if step == 1.0 else step * direction), lo
@@ -453,7 +457,7 @@ def _newton(
             if step == 0.0 or (lam + step * direction == lam).all():
                 raise InfeasibleError(
                     "line search stalled; the problem is infeasible or unbounded"
-                    + _newton_state(it, gnorm, lam)
+                    + _newton_state(it, gnorm, lam, unit)
                 )
         exact = None
         lam, here = trial, value
@@ -463,7 +467,7 @@ def _newton(
         mom = wp @ H.T
     raise InfeasibleError(
         f"no convergence to tolerance {tol:g} in {max_iter} iterations; "
-        "the problem is infeasible or unbounded" + _newton_state(max_iter, gnorm, lam)
+        "the problem is infeasible or unbounded" + _newton_state(it, gnorm, lam, unit)
     )
 
 
@@ -485,35 +489,37 @@ def _determined(
 ) -> NDArray[np.float64] | None:
     """The exact multipliers of m equality rows with targets b on m + 1
     atoms (columns of Ha, weights wa), or None when a system is singular or
-    a mass is not positive.  The targets fix the atom masses q, through
-    [1; Ha] q = [1; b], and the masses fix the multipliers: the density
-    q / wa is exp(-c - Hc^T lam) on the centered rows Hc, so
-    [1 | Hc^T] (c, lam) = -log(q / wa).  Both are solved by the LAPACK
-    gufunc behind ``np.linalg.solve``, where its LinAlgError (or an
-    overflow) raises FloatingPointError."""
+    an atom's density is not a positive double.  The targets fix the atom
+    masses q, through [1; Ha] q = [1; b], and the masses fix the
+    multipliers: the density q / wa is exp(-c - Hc^T lam) on the centered
+    rows Hc, in whatever units, so [1 | Hc^T] (c, lam) = -log(q / wa).
+    Both are solved by the LAPACK gufunc behind ``np.linalg.solve``, where
+    its LinAlgError (or an overflow) raises FloatingPointError."""
     k = len(wa)
     a, rhs = np.empty((k, k)), np.empty(k)
     a[0] = rhs[0] = 1.0
     a[1:], rhs[1:] = Ha, b
     with np.errstate(all="ignore", over="raise", invalid="raise"):
         try:
-            q = _lapack.solve1(a, rhs, signature="dd->d")
-            if not q.min() > 0.0:
+            density = _lapack.solve1(a, rhs, signature="dd->d") / wa
+            if not density.min() > 0.0:
                 return None
             a[:, 0], a[:, 1:] = 1.0, Hc.T
-            return _lapack.solve1(a, -np.log(q / wa), signature="dd->d")[1:]
+            return _lapack.solve1(a, -np.log(density), signature="dd->d")[1:]
         except FloatingPointError:
             return None
 
 
 class _UniformStart:
     """What a solve computes from its feature rows H before it reads a
-    target: each row's range (``h_min``, ``h_max``); the first column of
-    each atom (``atoms``, None when no columns merge) and the atoms' weights
-    ``wa``; the rows' uniform-density mean ``center`` on the atoms;
-    ``hc_size``, max |H - center| per row; and Newton's iteration 0 on the
-    centred atom rows, which its first run fills: ``log_z`` and the moments
-    ``mom`` of the uniform density, and ``first``, the Hessian there and its
+    target: each row's range (``h_min``, ``h_max``), its ``unit``, 2^e with
+    half the range in [2^(e-1), 2^e) and e in [-1022, 1023], and the
+    ``reach`` of its bounds and multipliers; the first column of each
+    atom (``atoms``, None when no columns merge), the atoms' weights ``wa``
+    and the rows' uniform-density mean on them in their units, ``center``;
+    and Newton's iteration 0 on the centred atom rows in those units,
+    which its first run fills: ``log_z`` and the moments ``mom`` of
+    the uniform density, and ``first``, the Hessian there and its
     :func:`_scaled_factor`, once a first step takes every row.  It holds
     O(m^2) numbers, and the atom weights when columns merge: no m x n
     array.  A support keeps one per set of power degrees
@@ -531,9 +537,15 @@ class _UniformStart:
         # own arrays.
         self.atoms = atoms = _atom_starts(H)
         Ha, wa = (H, w) if atoms is None else (H[:, atoms], np.add.reduceat(w, atoms))
-        center = (Ha @ wa) / float(wa.sum())
-        self.wa, self.center = wa, center
-        self.hc_size = np.maximum(h_max - center, center - h_min)
+        e = np.frexp(0.5 * h_max - 0.5 * h_min)[1]  # halved: a double for any range
+        self.unit = unit = np.ldexp(1.0, np.minimum(np.maximum(e, -1022), 1023))
+        # Weights scaled by t sum to under 1/2: a row's weighted sum is a double.
+        total = float(wa.sum())
+        t = math.ldexp(1.0, -math.frexp(total)[1] - 1)
+        self.wa, self.center = wa, (Ha @ (wa * t)) / (total * t) / unit
+        # Below reach, x / unit is a double: a bound past it (past the range)
+        # never binds, and a multiplier past it is none in the caller's units.
+        self.reach = np.minimum(unit, 1.0) * np.finfo(np.float64).max
         self.log_z = self.mom = self.first = None
 
 
@@ -557,9 +569,10 @@ def _solve(
         key = tuple(f.degree for f in functions)
     start = None if key is None else support._uniform_starts.get(key)
     if start is None:
-        h_min, h_max = H.min(axis=1), H.max(axis=1)
-    else:
-        h_min, h_max = start.h_min, start.h_max
+        start = _UniformStart(H, w, H.min(axis=1), H.max(axis=1))
+        if key is not None:
+            support._uniform_starts[key] = start
+    h_min, h_max = start.h_min, start.h_max
     for i, spec in enumerate(specs):
         # One rule per row: its bracket meets the open range (h_min, h_max),
         # which puts an equality's target strictly inside.
@@ -577,28 +590,28 @@ def _solve(
                    f"{attainable}; the problem is infeasible or degenerate")
         raise InfeasibleError(why)
 
-    if start is None:
-        start = _UniformStart(H, w, h_min, h_max)
-        if key is not None:
-            support._uniform_starts[key] = start
     Ha = H if start.atoms is None else H[:, start.atoms]
+    inv, c = 1.0 / start.unit, start.center
     # C order: `H[:, atoms]` comes out in F order, on which matmul rounds
     # differently.
-    Hc = np.subtract(Ha, start.center[:, None], order="C")
+    Hs = np.multiply(Ha, inv[:, None], order="C")
+    Hs -= c[:, None]
     # A determined problem's first step goes straight to its multipliers.
     # Only merged atoms qualify: m powers on m + 1 points can have exact
     # multipliers near 1e7, at which the solution's full-grid log Z loses
     # the mass to rounding.
-    exact, wa, center = None, start.wa, start.center
+    exact, wa = None, start.wa
     if start.atoms is not None and len(wa) == len(specs) + 1 and (lo == hi).all():
-        exact = _determined(Ha, wa, Hc, lo)
+        exact = _determined(Ha, wa, Hs, lo)
+    lo = np.maximum(lo, -start.reach) * inv - c
+    hi = np.minimum(hi, start.reach) * inv - c
     lam, iters, gnorm, trace, halvings, ratio_stops = _newton(
-        Hc, wa, lo - center, hi - center, start.hc_size, tol, options.max_iter,
-        start, exact,
-    )
+        Hs, wa, lo, hi, tol, options.max_iter, start, exact)
 
+    if not (abs(lam) <= start.reach).all():
+        raise InfeasibleError("a multiplier overflows a double: its row is too narrow")
     solution = MaxEntSolution(
-        support=support, constraints=specs, multipliers=lam,
+        support=support, constraints=specs, multipliers=lam / start.unit,
         diagnostics=SolverDiagnostics(
             iterations=iters, grad_max_norm=gnorm, atoms=len(wa),
             dual_trace=tuple(trace), halvings=halvings, ratio_stops=ratio_stops,

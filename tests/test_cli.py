@@ -385,6 +385,53 @@ def test_a_domain_near_the_floating_point_range_solves(tmp_path, capsys, domain)
     assert [str(w.message) for w in caught] == []
 
 
+#: Specs whose rows are too wide or too narrow for doubles in the caller's
+#: units: (spec lines, exit code, start of stderr).  Newton works in each
+#: row's unit, so none overflows or underflows; a wide row at the default
+#: absolute tol still cannot converge, as its rounding floor lies far above
+#: tol.
+NO_CONVERGENCE = "error: no convergence to tolerance 1e-08 in 200 iterations"
+FAR_RANGE_SPECS = {
+    "mean near 1e199": (["domain = 0 1e200", "nodes = 64",
+                         "constraint = power 1 eq 1e199"], 2, NO_CONVERGENCE),
+    "mean near 1e199, tol 1e192": (["domain = 0 1e200", "nodes = 64", "tol = 1e192",
+                                    "constraint = power 1 eq 1e199"], 0, ""),
+    "mean 0 on +-8e307": (["domain = -8e307 8e307", "nodes = 64",
+                           "constraint = power 1 eq 0"], 2, NO_CONVERGENCE),
+    "cube near 1.8e308": (["domain = -5.6e102 5.6e102", "nodes = 64",
+                           "constraint = power 3 eq 1e300"], 2, NO_CONVERGENCE),
+    "power 1023": (["domain = 0 2", "nodes = 64", "constraint = power 1023 eq 1e300"],
+                   2, "error: multipliers drive the density to zero"),
+    "tabulated +-1.7e308": (["points = 0 1 2", "constraint = tabulated -1.7e308 "
+                             "1.7e308 1.7e308 eq 1e308"], 2, "error: "),
+    "covariance near 1e-400": (["domain = 0 1e-100", "nodes = 64", "tol = 1e-208",
+                                "constraint = power 2 eq 2e-201"], 0, ""),
+    # In its own unit the row solves, but its multiplier in the caller's
+    # units, near 1e310, is no double.
+    "multiplier past the doubles": (
+        ["points = 0 1 2", "tol = 1e-318",
+         "constraint = tabulated 0 1e-310 2e-310 eq 1.9e-310"],
+        2, "error: a multiplier overflows a double: its row is too narrow\n"),
+    # A bracket bound far outside a narrow row's range never binds.
+    "bracket of +-1e300 on [0, 1e-100]": (
+        ["domain = 0 1e-100", "nodes = 64", "constraint = power 1 in -1e300 1e300"],
+        0, ""),
+    "bracket of +-1.7e308 on a subnormal row": (
+        ["points = 0 1", "constraint = tabulated 0 5e-324 in -1.7e308 1.7e308"], 0, ""),
+}
+
+
+@pytest.mark.parametrize("spec, code, err", FAR_RANGE_SPECS.values(),
+                         ids=FAR_RANGE_SPECS.keys())
+def test_a_row_far_from_unit_scale_solves_or_fails_without_a_warning(
+    tmp_path, capsys, spec, code, err
+):
+    got, stderr, caught = _solve_quietly(tmp_path, capsys, "\n".join(spec) + "\n")
+    assert (got, stderr[:len(err)]) == (code, err)
+    assert bool(stderr) == bool(code)
+    assert [str(w.message) for w in caught] == []
+
+
 def test_missing_spec_file_exits_one():
     res = run_cli("solve", "no/such/file.spec")
     assert res.returncode == 1

@@ -240,6 +240,11 @@ def test_discrete_support_rejects_bad_points(points):
         Support.discrete(points)
 
 
+def test_discrete_support_takes_points_whose_difference_overflows():
+    # Points are compared, not subtracted: 1.7e308 - (-1.7e308) is no double.
+    assert Support.discrete([-1.7e308, 1.7e308]).points == (-1.7e308, 1.7e308)
+
+
 @pytest.mark.parametrize(
     "a,b,n",
     [(1.0, 1.0, 64), (2.0, 1.0, 64), (0.0, np.inf, 64), (0.0, 1.0, 15)],
@@ -268,7 +273,10 @@ def test_continuous_support_needs_a_width_and_its_inverse_in_float_range(a, b):
         Support.continuous(a, b, 64)
 
 
-@pytest.mark.parametrize("a,b", [(0.0, 1e-300), (-8e307, 8e307), (0.0, 4e-306)])
+# (0, 1.7e308): two panel edges near b sum past the doubles, so the panel
+# midpoints are halved before the sum.
+@pytest.mark.parametrize("a,b", [(0.0, 1e-300), (-8e307, 8e307), (0.0, 4e-306),
+                                 (0.0, 1.7e308)])
 def test_continuous_support_takes_widths_near_the_float_range(a, b):
     s = Support.continuous(a, b, 64)
     assert (s.a, s.b) == (a, b)
@@ -312,6 +320,22 @@ def test_support_stores_a_numpy_integer_node_count_as_int():
     assert s == Support.continuous(0.0, 1.0, 64)
     assert np.array_equal(s.nodes, Support.continuous(0.0, 1.0, 64).nodes)
     assert type(Support(kind="discrete", points=(0.0, 1.0), n=np.int32(2)).n) is int
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        # Its nodes lie in [a, b], yet lower and upper would read the points.
+        (dict(kind="continuous", a=0.0, b=1.0, n=16, points=(5.0, 6.0)),
+         "continuous support takes no points"),
+        # Kept, they would make it unequal to Support.discrete of its points.
+        (dict(kind="discrete", points=(0.0, 1.0), n=2, a=0.0), "discrete support takes no a"),
+        (dict(kind="discrete", points=(0.0, 1.0), n=2, b=1.0), "discrete support takes no b"),
+    ],
+)
+def test_a_support_rejects_a_field_its_kind_does_not_use(fields, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        Support(**fields)
 
 
 # Every field that takes a real number follows one rule: Python and numpy
@@ -529,6 +553,34 @@ def test_power_rejects_bad_degree():
             ConstraintFunction.power(flag)
     with pytest.raises(ValidationError):
         ConstraintFunction.power(3.0)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(kind="power", degree=2, lower=0.1, upper=0.3), "power constraint takes no lower"),
+        (dict(kind="power", degree=2, upper=0.3), "power constraint takes no upper"),
+        (dict(kind="power", degree=2, values=(1.0, 2.0)), "power constraint takes no values"),
+        (dict(kind="power", degree=2, slope=(1.0, 2.0)), "power constraint takes no slope"),
+        (dict(kind="indicator", lower=0.0, upper=1.0, degree=1),
+         "indicator constraint takes no degree"),
+        (dict(kind="indicator", lower=0.0, upper=1.0, values=(1.0, 0.0)),
+         "indicator constraint takes no values"),
+        (dict(kind="indicator", lower=0.0, upper=1.0, slope=(0.0, 0.0)),
+         "indicator constraint takes no slope"),
+        (dict(kind="tabulated", values=(1.0, 2.0), degree=3),
+         "tabulated constraint takes no degree"),
+        (dict(kind="tabulated", values=(1.0, 2.0), lower=0.0),
+         "tabulated constraint takes no lower"),
+        (dict(kind="tabulated", values=(1.0, 2.0), upper=1.0),
+         "tabulated constraint takes no upper"),
+    ],
+)
+def test_a_constraint_function_rejects_a_field_its_kind_does_not_use(fields, message):
+    # Kept, such a field would make the function unequal to the one its
+    # classmethod builds, though it tabulates the same row.
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        ConstraintFunction(**fields)
 
 
 def test_power_accepts_numpy_integer_degree_as_int():

@@ -652,21 +652,21 @@ def test_solve_tabulates_each_constraint_once(monkeypatch, solve, specs):
 
 def _full_grid_multipliers(sol):
     """The multipliers `_newton` reaches on the full centered grid (Hc, w)
-    from zero."""
+    from zero, in each row's unit as `_solve` passes them."""
     H = _feature_matrix(sol.support, [s.function for s in sol.constraints])
     w = sol.support.weights
-    center = (H @ w) / float(w.sum())
-    Hc = H - center[:, None]
     lo, hi = np.array(
         [(s.equals, s.equals) if s.is_equality else s.bounds for s in sol.constraints]
     ).T
-    # A start built on Hc itself fills Newton's iteration 0 from (Hc, w);
-    # its atoms and centre go unread.
-    start = solver._UniformStart(Hc, w, Hc.min(axis=1), Hc.max(axis=1))
-    return _newton(
-        Hc, w, lo - center, hi - center, np.abs(Hc).max(axis=1),
+    # Newton fills the start's iteration 0 from the full grid (H, w), in
+    # the rows' units; the start's atoms go unread.
+    start = solver._UniformStart(H, w, H.min(axis=1), H.max(axis=1))
+    inv, c = 1.0 / start.unit, start.center
+    lam = _newton(
+        H * inv[:, None] - c[:, None], w, lo * inv - c, hi * inv - c,
         SolveOptions().resolve_tol(sol.support), 200, start,
     )[0]
+    return lam / start.unit
 
 
 def _indicator_spec(lo: float, hi: float, value: float) -> ConstraintSpec:
@@ -797,6 +797,12 @@ def test_a_singular_determined_system_gives_no_exact_step():
     row = np.array([1.0, 0.0, 0.0])
     Ha, wa = np.array([row, row]), np.full(3, 1.0 / 3.0)
     assert solver._determined(Ha, wa, Ha - 1.0 / 3.0, np.array([0.5, 0.5])) is None
+
+
+def test_a_determined_system_whose_atom_density_underflows_gives_no_exact_step():
+    # The masses are positive, but 5e-324 / 1e10 is 0: its log is no double.
+    Ha, wa = np.array([[0.0, 1.0]]), np.array([1e10, 1e10])
+    assert solver._determined(Ha, wa, Ha - 0.5, np.array([5e-324])) is None
 
 
 def test_an_exact_step_that_armijo_rejects_gives_way_to_newtons_own(monkeypatch):

@@ -244,7 +244,7 @@ def _kept_masses(support):
     for degrees, start in support._uniform_starts.items():
         H = _feature_matrix(support, [ConstraintFunction.power(d) for d in degrees])
         Ha = H if start.atoms is None else H[:, start.atoms]
-        Hc = np.subtract(Ha, start.center[:, None], order="C")
+        Hc = Ha / start.unit[:, None] - start.center[:, None]
         w = start.wa
         p = _exponential_form(Hc, w, np.zeros(len(degrees)))[1]
         yield (w * math.exp(-start.log_z)).tobytes(), (w * p).tobytes()
